@@ -37,6 +37,7 @@ from .sequence_core import (
     theorem2_check,
 )
 from .graph_core import (
+    MAX_VERTICES,
     Edge,
     SimpleGraph,
     add_edge,
@@ -49,7 +50,6 @@ from .graph_core import (
     internally_disjoint_path_count,
     is_connected,
     is_k_connected,
-    relabel,
     remove_edge,
     vertex_connectivity,
 )

@@ -20,8 +20,9 @@ import os
 import sys
 
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
-from .errors import AugmentationStuck, KconnseqError
+from .errors import AugmentationStuck, KconnseqError, TooLarge
 from .graph_core import (
+    MAX_VERTICES,
     degree_sequence,
     internally_disjoint_path_count,
     vertex_connectivity,
@@ -65,8 +66,11 @@ def canonical_json(payload: dict) -> str:
 
 
 def _parse_sequence(text: str) -> DegreeSequence:
+    parts = text.split(",")
+    if len(parts) > MAX_VERTICES:
+        raise TooLarge(f"--seq has {len(parts)} terms, over the cap of {MAX_VERTICES}")
     try:
-        values = [int(part) for part in text.split(",")]
+        values = [int(part) for part in parts]
     except ValueError:
         raise KconnseqError(
             f"sequence must be comma-separated integers, got {text!r}"
@@ -74,12 +78,13 @@ def _parse_sequence(text: str) -> DegreeSequence:
     return normalize(values)
 
 
-def _check_oracle_limit(limit: int) -> int:
-    if not 1 <= limit <= HARD_ENUMERATION_CAP:
-        raise KconnseqError(
-            f"--oracle-limit must be within 1..{HARD_ENUMERATION_CAP}, got {limit}"
-        )
-    return limit
+def _check_range(flag: str, value: int, hi: int | None = None) -> int:
+    """Reject a flag value below 1, or above ``hi`` when one is given."""
+    if hi is not None and not 1 <= value <= hi:
+        raise KconnseqError(f"{flag} must be within 1..{hi}, got {value}")
+    if value < 1:
+        raise KconnseqError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _render_condition_report(report) -> list[str]:
@@ -97,10 +102,9 @@ def _graph_json(g) -> dict:
 
 
 def cmd_check(args) -> int:
-    limit = _check_oracle_limit(args.oracle_limit)
+    limit = _check_range("--oracle-limit", args.oracle_limit, HARD_ENUMERATION_CAP)
     s = _parse_sequence(args.seq)
-    if args.k < 1:
-        raise KconnseqError(f"--k must be >= 1, got {args.k}")
+    _check_range("--k", args.k)
     r1 = theorem1_check(s, args.k)
     r2 = theorem2_check(s, args.k)
     verdict = oracle_verdict(s, args.k, limit=limit) if len(s) <= limit else None
@@ -216,13 +220,12 @@ def _emit_not_found(args, method: str, message: str) -> int:
 
 
 def cmd_realize(args) -> int:
-    limit = _check_oracle_limit(args.oracle_limit)
+    limit = _check_range("--oracle-limit", args.oracle_limit, HARD_ENUMERATION_CAP)
     by_seq = args.seq is not None
     by_chain = args.n is not None or args.epsilon is not None
     if by_seq == by_chain:
         raise KconnseqError("give either --seq, or both --n and --epsilon")
-    if args.k < 1:
-        raise KconnseqError(f"--k must be >= 1, got {args.k}")
+    _check_range("--k", args.k)
 
     if by_seq:
         s = _parse_sequence(args.seq)
@@ -257,8 +260,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.k < 1:
-        raise KconnseqError(f"--k must be >= 1, got {args.k}")
+    _check_range("--k", args.k)
     s = witness_sequence(args.n, args.k)  # NTooSmall -> exit 2
     g1 = build_G1(args.n, args.k)
     g2 = build_G2(args.n, args.k)
@@ -312,24 +314,17 @@ def cmd_witness(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    limit = _check_oracle_limit(args.oracle_limit)
-    if args.jobs < 1:
-        raise KconnseqError(f"--jobs must be >= 1, got {args.jobs}")
-    jobs = args.jobs if args.jobs > 1 else None
-    if args.theorem == "1":
-        if args.kmax < 1:
-            raise KconnseqError(f"--kmax must be >= 1, got {args.kmax}")
-        report = audit_theorem1(args.n, args.kmax, limit=limit, jobs=jobs)
-    elif args.theorem == "2":
-        if args.kmax < 1:
-            raise KconnseqError(f"--kmax must be >= 1, got {args.kmax}")
-        report = audit_theorem2(args.n, args.kmax, limit=limit, jobs=jobs)
-    else:
-        if args.k < 1:
-            raise KconnseqError(f"--k must be >= 1, got {args.k}")
+    limit = _check_range("--oracle-limit", args.oracle_limit, HARD_ENUMERATION_CAP)
+    jobs = _check_range("--jobs", args.jobs)
+    if args.theorem == "corollary":
+        _check_range("--k", args.k)
         report = audit_corollary(
             args.n, args.k, args.min_degree, limit=limit, jobs=jobs
         )
+    else:
+        _check_range("--kmax", args.kmax)
+        audit = audit_theorem1 if args.theorem == "1" else audit_theorem2
+        report = audit(args.n, args.kmax, limit=limit, jobs=jobs)
 
     payload = report.to_json_dict()
     text = canonical_json(payload)
@@ -495,13 +490,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KconnseqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (KconnseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -55,7 +55,7 @@ class AugmentationStuck(KconnseqError, RuntimeError):
 
 
 class TooLarge(KconnseqError, ValueError):
-    """Exhaustive enumeration was requested beyond the configured limit."""
+    """A size exceeded a configured limit (enumeration, vertex count)."""
 
 
 class EdgeListParseError(KconnseqError, ValueError):

@@ -13,7 +13,6 @@ internal vertex into an in/out pair joined by a unit-capacity arc.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -22,11 +21,13 @@ from .errors import (
     MapNotInjective,
     SameVertex,
     SelfLoop,
+    TooLarge,
     VertexOutOfRange,
 )
 from .sequence_core import DegreeSequence, normalize
 
 __all__ = [
+    "MAX_VERTICES",
     "Edge",
     "edge",
     "SimpleGraph",
@@ -36,7 +37,6 @@ __all__ = [
     "graph_union",
     "add_edge",
     "remove_edge",
-    "relabel",
     "degree_sequence",
     "internally_disjoint_path_count",
     "vertex_connectivity",
@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+# Largest vertex count SimpleGraph accepts.  Edge-list labels, "# n="
+# headers and --seq lengths all come from untrusted input, and the
+# adjacency list is allocated up front.
+MAX_VERTICES = 10_000
 
 
 def edge(a: int, b: int) -> Edge:
@@ -62,6 +67,8 @@ class SimpleGraph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_VERTICES:
+            raise TooLarge(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
         adj = [0] * n
         for a, b in edges:
             if a == b:
@@ -105,14 +112,10 @@ class SimpleGraph:
         return self._adj[v]
 
     def edges(self) -> Iterator[Edge]:
-        for a in range(self.n):
-            m = self._adj[a] >> (a + 1)
-            b = a + 1
-            while m:
-                if m & 1:
-                    yield (a, b)
-                m >>= 1
-                b += 1
+        """Every edge once, as (a, b) with a < b, in ascending order."""
+        for a, mask in enumerate(self._adj):
+            for b in _bits(mask >> (a + 1)):
+                yield (a, a + 1 + b)
 
     @property
     def edge_count(self) -> int:
@@ -139,12 +142,28 @@ class SimpleGraph:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    v = 0
+    """The set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _component(adj: Sequence[int], live: int) -> int:
+    """Vertices of the mask ``live`` reachable from its lowest vertex
+    without leaving ``live``; 0 when ``live`` is empty.
+    """
+    seen = frontier = live & -live
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & live & ~seen
+        seen |= frontier
+    return seen
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -215,36 +234,14 @@ def remove_edge(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
     return SimpleGraph._from_masks(g.n, adj)
 
 
-def relabel(g: SimpleGraph, mapping: Sequence[int]) -> SimpleGraph:
-    """Apply a vertex bijection old->new given as mapping[old] = new."""
-    if len(mapping) != g.n or sorted(mapping) != list(range(g.n)):
-        raise MapNotInjective(f"mapping {mapping!r} is not a permutation of 0..{g.n - 1}")
-    adj = [0] * g.n
-    for a, b in g.edges():
-        na, nb = mapping[a], mapping[b]
-        adj[na] |= 1 << nb
-        adj[nb] |= 1 << na
-    return SimpleGraph._from_masks(g.n, adj)
-
-
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:
     """Non-increasing degree sequence; rejects isolated vertices."""
     return normalize(g._adj[v].bit_count() for v in range(g.n))
 
 
 def is_connected(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return False
-    seen = 1
-    frontier = 1
     full = (1 << g.n) - 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g._adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return g.n > 0 and _component(g._adj, full) == full
 
 
 # -- Menger / max-flow -----------------------------------------------------

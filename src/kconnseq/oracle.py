@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .errors import TooLarge
-from .graph_core import SimpleGraph
+from .graph_core import SimpleGraph, _component
 from .sequence_core import (
     DegreeSequence,
     corollary_threshold,
@@ -108,29 +108,6 @@ def _enumerate_masks(terms: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
-def _connected_within(adj: Sequence[int], live: int) -> bool:
-    """Is the graph induced on the ``live`` vertex mask connected?
-
-    Zero or one live vertices count as connected (removal of a separator
-    candidate never empties the graph in the callers below).
-    """
-    if live == 0:
-        return True
-    start = live & -live
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & live & ~seen
-        seen |= frontier
-    return seen == live
-
-
 _REMOVAL_MASKS: dict[tuple[int, int], list[int]] = {}
 
 
@@ -149,18 +126,20 @@ def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
     """min(vertex connectivity, cap), by trying every small removal set.
 
     Independent of the flow-based computation in graph_core: searches
-    removal subsets of size 1, 2, ... directly.  No subset up to size
-    n - 2 disconnecting the graph means the graph is complete, where
+    removal subsets of size 1, 2, ... directly, and asks graph_core only
+    whether what survives is connected.  No subset up to size n - 2
+    disconnecting the graph means the graph is complete, where
     connectivity is n - 1 by convention.
     """
     if n <= 1:
         return 0
     full = (1 << n) - 1
-    if not _connected_within(adj, full):
+    if _component(adj, full) != full:
         return 0
     for size in range(1, min(cap, n - 1)):
         for rm in _removal_masks(n, size):
-            if not _connected_within(adj, full & ~rm):
+            live = full & ~rm
+            if _component(adj, live) != live:
                 return size
     return min(cap, n - 1)
 
@@ -319,10 +298,15 @@ def _profile_worker(args: tuple[tuple[int, ...], int]) -> tuple[int, int, int]:
 
 
 def _sequence_profiles(
-    n: int, k_cap: int, jobs: int | None
+    n: int, k_max: int, limit: int, jobs: int | None
 ) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Profile every sequence of length n with kappa capped at k_max."""
+    if n > limit:
+        raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     universe = [s.terms for s in all_degree_sequences(n)]
-    tasks = [(terms, k_cap) for terms in universe]
+    tasks = [(terms, k_max) for terms in universe]
     if jobs is None or jobs <= 1:
         results = [_profile_worker(t) for t in tasks]
     else:
@@ -385,11 +369,7 @@ def audit_theorem1(
     the claim "some k-connected realization exists" is checked against
     exhaustive truth; disagreements become report entries.
     """
-    if n > limit:
-        raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    profiles = _sequence_profiles(n, k_max, jobs)
+    profiles = _sequence_profiles(n, k_max, limit, jobs)
     entries = []
     for terms, count, _lo, hi in profiles:
         s = DegreeSequence(terms)
@@ -433,11 +413,7 @@ def audit_theorem2(
     epsilon sits exactly on the bound C(phi-2,2)+2k-1 land in the
     ``boundary`` annex regardless of agreement.
     """
-    if n > limit:
-        raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    profiles = _sequence_profiles(n, k_max, jobs)
+    profiles = _sequence_profiles(n, k_max, limit, jobs)
     entries = []
     boundary = []
     comparisons = 0

@@ -13,9 +13,13 @@ Three construction families live here:
   forcing them.  At n = k+3 no realization is k-connected, and G2 is
   (k-1)-connected like G1.
 
-Every construction re-verifies the connectivity it promises instead of
-trusting the recipe; violations raise AugmentationStuck rather than
-returning a quietly wrong graph.
+Only augment_chain verifies its graphs at run time: every chain graph
+is checked k-connected, and a failure raises AugmentationStuck rather
+than returning a quietly wrong graph.  The local search in
+realize_k_connected measures connectivity at every step.
+base_k_regular, build_G1 and build_G2 are closed-form recipes that
+return their graph unchecked; their connectivity is checked by the test
+suite (TestBaseKRegular, TestWitnessGraphs, acceptance criterion 2).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
 )
 from .graph_core import (
     SimpleGraph,
+    _component,
     add_edge,
     complement,
     complete_graph,
@@ -155,11 +160,9 @@ def witness_sequence(n: int, k: int) -> DegreeSequence:
     return DegreeSequence((n - 1,) * (k - 1) + (n - 3,) * (n - k - 1) + (k, k))
 
 
-# Fixed vertex layout shared by build_G1/build_G2: the k-1 shared clique
-# vertices come first, then the two degree-k vertices, then the rest.
-def _layout(n: int, k: int) -> tuple[int, int, int, int]:
-    # returns (v_a, v_b, v_i, v_j): the degree-k pair and its swap partners
-    return k - 1, k, k + 1, k + 2
+def _swap(g: SimpleGraph, a: int, b: int, c: int, d: int) -> SimpleGraph:
+    """Degree-preserving 2-swap: edges ab and cd become ac and bd."""
+    return add_edge(add_edge(remove_edge(remove_edge(g, a, b), c, d), a, c), b, d)
 
 
 def build_G1(n: int, k: int) -> SimpleGraph:
@@ -184,19 +187,14 @@ def build_G1(n: int, k: int) -> SimpleGraph:
 def build_G2(n: int, k: int) -> SimpleGraph:
     """The same degrees as build_G1 rewired to be k-connected for n >= k+4.
 
-    Drops the edge inside the degree-k pair and one edge of the big
-    clique, then stitches the two sides together crosswise.  Degrees are
-    untouched; the cut structure of G1 is destroyed.  At n = k+3 the
-    result is (k-1)-connected, the best any realization reaches: the
-    k-1 vertices of degree n-1 see everything, and deleting them leaves
-    four vertices of degree 1, a perfect matching.
+    Drops the edge inside the degree-k pair (k-1, k) and the big-clique
+    edge (k+1, k+2), then stitches the two sides together crosswise.
+    Degrees are untouched; the cut structure of G1 is destroyed.  At
+    n = k+3 the result is (k-1)-connected, the best any realization
+    reaches: the k-1 vertices of degree n-1 see everything, and deleting
+    them leaves four vertices of degree 1, a perfect matching.
     """
-    g = build_G1(n, k)
-    va, vb, vi, vj = _layout(n, k)
-    g = remove_edge(g, va, vb)
-    g = remove_edge(g, vi, vj)
-    g = add_edge(g, va, vi)
-    return add_edge(g, vb, vj)
+    return _swap(build_G1(n, k), k - 1, k, k + 1, k + 2)
 
 
 def is_maximally_non_k_connected(g: SimpleGraph, k: int) -> bool:
@@ -250,24 +248,11 @@ def _havel_hakimi(s: DegreeSequence) -> SimpleGraph:
 
 
 def _component_masks(g: SimpleGraph) -> list[int]:
-    full = (1 << g.n) - 1
-    left = full
+    left = (1 << g.n) - 1
     comps = []
     while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.neighbor_mask(low.bit_length() - 1)
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
+        comps.append(_component(g._adj, left))
+        left &= ~comps[-1]
     return comps
 
 
@@ -284,12 +269,7 @@ def _join_components(g: SimpleGraph) -> SimpleGraph:
             return g
         first = next(e for e in g.edges() if (1 << e[0]) & comps[0])
         second = next(e for e in g.edges() if (1 << e[0]) & comps[1])
-        a, b = first
-        c, d = second
-        g = remove_edge(g, a, b)
-        g = remove_edge(g, c, d)
-        g = add_edge(g, a, c)
-        g = add_edge(g, b, d)
+        g = _swap(g, *first, *second)
 
 
 def realize_k_connected(
@@ -331,9 +311,7 @@ def realize_k_connected(
             c, d = d, c
         if g.has_edge(a, c) or g.has_edge(b, d):
             continue
-        candidate = add_edge(
-            add_edge(remove_edge(remove_edge(g, a, b), c, d), a, c), b, d
-        )
+        candidate = _swap(g, a, b, c, d)
         new_kappa = vertex_connectivity(candidate, upper_bound=k)
         if new_kappa >= kappa:
             g = candidate

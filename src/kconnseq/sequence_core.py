@@ -87,10 +87,7 @@ def normalize(raw: Iterable[int]) -> DegreeSequence:
     entry <= 0 (a degree-0 vertex never occurs in a k-connected graph
     for k >= 1, so zeros are rejected outright).
     """
-    terms = tuple(raw)
-    if not terms:
-        raise EmptySequence("degree sequence must be non-empty")
-    return DegreeSequence(tuple(sorted(terms, reverse=True)))
+    return DegreeSequence(tuple(sorted(raw, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -187,7 +184,11 @@ def _choose2(m: int) -> int:
     return m * (m - 1) // 2 if m >= 2 else 0
 
 
-def _theorem1_checks(s: DegreeSequence, k: int, pair: AssociatedPair):
+def _theorem1_parts(s: DegreeSequence, k: int):
+    """Validate k; return theorem 1's pair, four checks and thresholds."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pair = associated_pair(s)
     phi, dsum = pair.phi, pair.degree_sum
     eps = pair.epsilon_str()
     c1 = ConditionCheck(
@@ -215,7 +216,13 @@ def _theorem1_checks(s: DegreeSequence, k: int, pair: AssociatedPair):
         f"k*phi/2 = {k * phi}/2 {'<=' if lo_ok else '>'} epsilon = {eps}"
         f" {'<=' if hi_ok else '>'} C(phi,2) = {comb(phi, 2)}",
     )
-    return (c1, c2, c3, c4)
+    thresholds = {
+        "max_term_allowed": phi - 1,
+        "min_term_required": k,
+        "degree_sum_min": k * phi,
+        "epsilon_max": comb(phi, 2),
+    }
+    return pair, (c1, c2, c3, c4), thresholds
 
 
 def theorem1_check(s: DegreeSequence, k: int) -> ConditionReport:
@@ -225,16 +232,7 @@ def theorem1_check(s: DegreeSequence, k: int) -> ConditionReport:
     about realizability.  Use oracle.audit_theorem1 for the comparison
     against exhaustive ground truth.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pair = associated_pair(s)
-    checks = _theorem1_checks(s, k, pair)
-    thresholds = {
-        "max_term_allowed": pair.phi - 1,
-        "min_term_required": k,
-        "degree_sum_min": k * pair.phi,
-        "epsilon_max": comb(pair.phi, 2),
-    }
+    pair, checks, thresholds = _theorem1_parts(s, k)
     return ConditionReport("theorem1", k, s, pair, checks, thresholds)
 
 
@@ -244,9 +242,7 @@ def theorem2_check(s: DegreeSequence, k: int) -> ConditionReport:
     The report carries theorem 1's four checks plus the strict edge-count
     bound epsilon > C(phi-2, 2) + 2k - 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pair = associated_pair(s)
+    pair, checks, thresholds = _theorem1_parts(s, k)
     bound = _choose2(pair.phi - 2) + 2 * k - 1
     over = pair.degree_sum > 2 * bound
     extra = ConditionCheck(
@@ -255,15 +251,8 @@ def theorem2_check(s: DegreeSequence, k: int) -> ConditionReport:
         f"epsilon = {pair.epsilon_str()} {'>' if over else '<='}"
         f" C(phi-2,2) + 2k - 1 = {bound}",
     )
-    checks = _theorem1_checks(s, k, pair) + (extra,)
-    thresholds = {
-        "max_term_allowed": pair.phi - 1,
-        "min_term_required": k,
-        "degree_sum_min": k * pair.phi,
-        "epsilon_max": comb(pair.phi, 2),
-        "necessity_bound": bound,
-    }
-    return ConditionReport("theorem2", k, s, pair, checks, thresholds)
+    thresholds["necessity_bound"] = bound
+    return ConditionReport("theorem2", k, s, pair, checks + (extra,), thresholds)
 
 
 def corollary_threshold(n: int, k: int) -> int:
@@ -276,9 +265,7 @@ def corollary_threshold(n: int, k: int) -> int:
         raise ValueError(f"n must be >= 2, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    num = n * n - 5 * n + 6 + 4 * k
-    assert num % 2 == 0
-    return num // 2
+    return comb(n - 2, 2) + 2 * k
 
 
 def erdos_gallai_graphic(s: DegreeSequence) -> bool:

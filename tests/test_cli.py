@@ -20,6 +20,45 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check", "--seq", "2,2,2", "--k", "0"], "--k must be >= 1, got 0"),
+        (["realize", "--seq", "2,2,2", "--k", "0"], "--k must be >= 1, got 0"),
+        (["witness", "--n", "6", "--k", "0"], "--k must be >= 1, got 0"),
+        (
+            ["audit", "--theorem", "corollary", "--n", "4", "--k", "0"],
+            "--k must be >= 1, got 0",
+        ),
+        (
+            ["audit", "--theorem", "1", "--n", "4", "--kmax", "0"],
+            "--kmax must be >= 1, got 0",
+        ),
+        (
+            ["audit", "--theorem", "2", "--n", "4", "--kmax", "0"],
+            "--kmax must be >= 1, got 0",
+        ),
+        (
+            ["audit", "--theorem", "1", "--n", "4", "--jobs", "0"],
+            "--jobs must be >= 1, got 0",
+        ),
+        (
+            ["check", "--seq", "2,2,2", "--k", "1", "--oracle-limit", "0"],
+            "--oracle-limit must be within 1..10, got 0",
+        ),
+        (
+            ["check", "--seq", "2,2,2", "--k", "1", "--oracle-limit", "11"],
+            "--oracle-limit must be within 1..10, got 11",
+        ),
+    ],
+)
+def test_flag_range_errors(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
 class TestCheck:
     def test_true_predicate_exits_zero(self, capsys):
         code, out, _ = run(capsys, "check", "--seq", "2,2,2,2,2", "--k", "2")
@@ -78,6 +117,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--seq", seq, "--k", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_sequence_length_cap(self, capsys):
+        code, _, err = run(capsys, "check", "--seq", ",".join(["1"] * 10_001), "--k", "1")
+        assert code == 2
+        assert err == "error: --seq has 10001 terms, over the cap of 10000\n"
 
     def test_k_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "check", "--seq", "2,2,2", "--k", "0")
@@ -321,6 +365,14 @@ class TestConnectivity:
         path = self.write(tmp_path, "# n=3\n0 1\n")
         code, _, err = run(capsys, "connectivity", path)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, n", [("0 99999999\n", 100_000_000), ("# n=99999999\n", 99_999_999)]
+    )
+    def test_vertex_cap(self, capsys, tmp_path, text, n):
+        code, _, err = run(capsys, "connectivity", self.write(tmp_path, text))
+        assert code == 2
+        assert err == f"error: vertex count {n} exceeds the cap of 10000\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "connectivity", str(tmp_path / "absent.edges"))

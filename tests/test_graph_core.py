@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kconnseq import (
+    MAX_VERTICES,
     DuplicateEdge,
     KOutOfRange,
     MapNotInjective,
@@ -18,6 +19,7 @@ from kconnseq import (
     SameVertex,
     SelfLoop,
     SimpleGraph,
+    TooLarge,
     VertexOutOfRange,
     add_edge,
     complement,
@@ -28,10 +30,11 @@ from kconnseq import (
     internally_disjoint_path_count,
     is_connected,
     is_k_connected,
-    relabel,
     remove_edge,
     vertex_connectivity,
 )
+from kconnseq.graph_core import _component
+from kconnseq.realization import _component_masks
 
 import bruteforce
 
@@ -59,6 +62,11 @@ class TestSimpleGraph:
             SimpleGraph(3, [(0, 3)])
         with pytest.raises(ValueError):
             SimpleGraph(-1, [])
+
+    def test_vertex_count_cap(self):
+        assert SimpleGraph(MAX_VERTICES).n == MAX_VERTICES
+        with pytest.raises(TooLarge):
+            SimpleGraph(MAX_VERTICES + 1)
 
     def test_is_immutable(self):
         g = complete_graph(3)
@@ -122,14 +130,6 @@ class TestCombinators:
         t = complete_graph(3)
         with pytest.raises(MapNotInjective):
             graph_union(t, t, vertex_map=[0, 1, 1])
-
-    def test_relabel_is_a_permutation(self):
-        g = SimpleGraph(3, [(0, 1)])
-        assert relabel(g, [2, 1, 0]) == SimpleGraph(3, [(2, 1)])
-        with pytest.raises(MapNotInjective):
-            relabel(g, [0, 0, 1])
-        with pytest.raises(ValueError):
-            relabel(g, [0, 1])
 
     @given(graph_strategy(max_n=6))
     def test_complement_degrees(self, g):
@@ -255,4 +255,19 @@ class TestAgainstBruteForce:
     @given(graph_strategy(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_is_connected_matches(self, g):
+        assert list(g.edges()) == sorted(g.edges())
         assert is_connected(g) == bruteforce.is_connected(g.n, sorted(g.edges()))
+
+    @given(graph_strategy(max_n=7), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_component_search_matches(self, g, data):
+        live = data.draw(st.integers(1, (1 << g.n) - 1))
+        removed = [v for v in range(g.n) if not live >> v & 1]
+        edges = sorted(g.edges())
+        connected = bruteforce.is_connected(g.n, edges, removed=removed)
+        assert (_component(g._adj, live) == live) == connected
+        assert _component(g._adj, 0) == 0
+        comps = _component_masks(g)
+        as_sets = [frozenset(v for v in range(g.n) if c >> v & 1) for c in comps]
+        assert len(set(as_sets)) == len(comps)
+        assert set(as_sets) == bruteforce.components(g.n, edges)
