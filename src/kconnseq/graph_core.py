@@ -8,6 +8,9 @@ enumerates.  Mutating operations (add_edge, union, ...) return new graphs.
 Connectivity is computed the Menger way: the number of internally disjoint
 a-b paths equals the max flow between a and b after splitting every
 internal vertex into an in/out pair joined by a unit-capacity arc.
+vertex_connectivity picks its flow pairs by Esfahanian-Hakimi: from a
+vertex v of minimum degree to each non-neighbour, then between each
+non-adjacent pair of v's neighbours, about n + delta^2 flows in all.
 """
 
 from __future__ import annotations
@@ -247,25 +250,35 @@ def is_connected(g: SimpleGraph) -> bool:
 # -- Menger / max-flow -----------------------------------------------------
 
 
-def _vertex_capacity_max_flow(g: SimpleGraph, a: int, b: int, cap: int | None) -> int:
-    """Count internally disjoint a-b paths by unit-capacity max flow.
+def _split_digraph(g: SimpleGraph) -> list[int]:
+    """Residual base of the split digraph, one out-arc mask per node.
 
     Every vertex v becomes v_in = 2v and v_out = 2v + 1 joined by a unit
-    arc; each graph edge becomes two unit arcs u_out -> w_in.  Flow from
-    a_out to b_in then equals the number of internally disjoint paths.
-    ``cap`` stops early once that many augmenting paths are found.
+    arc; each graph edge uw becomes two unit arcs u_out -> w_in and
+    w_out -> u_in.  Entry 2v holds only v's split arc.
+    """
+    base = [0] * (2 * g.n)
+    for v in range(g.n):
+        base[2 * v] = 1 << (2 * v + 1)
+    for u, w in g.edges():
+        base[2 * u + 1] |= 1 << (2 * w)
+        base[2 * w + 1] |= 1 << (2 * u)
+    return base
+
+
+def _vertex_capacity_max_flow(base: list[int], a: int, b: int, cap: int | None) -> int:
+    """Count internally disjoint a-b paths by unit-capacity max flow.
+
+    ``base`` is the split digraph from _split_digraph; it is copied, not
+    changed.  Flow from a_out to b_in, with the split arcs of a and b
+    dropped, equals the number of internally disjoint paths.  ``cap``
+    stops early once that many augmenting paths are found.
     """
     source = 2 * a + 1
     sink = 2 * b
-    # residual[u] = set of arcs with remaining capacity, as dict u -> mask.
-    size = 2 * g.n
-    residual = [0] * size
-    for v in range(g.n):
-        if v != a and v != b:
-            residual[2 * v] |= 1 << (2 * v + 1)
-    for u, w in g.edges():
-        residual[2 * u + 1] |= 1 << (2 * w)
-        residual[2 * w + 1] |= 1 << (2 * u)
+    residual = base.copy()
+    residual[2 * a] = residual[2 * b] = 0
+    size = len(residual)
 
     flow = 0
     while cap is None or flow < cap:
@@ -307,39 +320,47 @@ def internally_disjoint_path_count(g: SimpleGraph, a: int, b: int) -> int:
     if a == b:
         raise SameVertex(f"endpoints must differ, got {a} twice")
     if not g.has_edge(a, b):
-        return _vertex_capacity_max_flow(g, a, b, cap=None)
+        return _vertex_capacity_max_flow(_split_digraph(g), a, b, cap=None)
     # Adjacent endpoints: the edge itself is one path no separator can cut.
-    return 1 + _vertex_capacity_max_flow(remove_edge(g, a, b), a, b, cap=None)
+    base = _split_digraph(remove_edge(g, a, b))
+    return 1 + _vertex_capacity_max_flow(base, a, b, cap=None)
 
 
 def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> int:
     """kappa(G): minimum vertices whose removal disconnects or trivializes.
 
     Conventions: complete graphs give n - 1, the one-vertex graph gives 0,
-    and any disconnected graph gives 0.  For incomplete connected graphs
-    this is the minimum path count over non-adjacent pairs (adjacent pairs
-    can be skipped: some minimum separator avoids both endpoints of any
-    missing edge).  ``upper_bound`` caps the answer, letting flow searches
-    stop early -- useful when only "is kappa >= k" matters.
+    and any disconnected graph gives 0.  ``upper_bound`` caps the answer,
+    letting flow searches stop early -- useful when only "is kappa >= k"
+    matters.
+
+    Esfahanian-Hakimi (Networks 14, 1984): fix v of minimum degree delta
+    (lowest label on ties).  kappa <= delta, and a minimum separator S
+    either misses v, so it parts v from some non-neighbour, or contains
+    v, so (S being minimum, v has a neighbour in every component of
+    G - S) it parts two non-adjacent neighbours of v.  kappa is thus the
+    least of delta, the path counts from v to its non-neighbours and
+    those between non-adjacent pairs of its neighbours: about
+    n - delta - 1 + C(delta, 2) flows, each capped at the best seen.
     """
     n = g.n
     if n <= 1:
         return 0
     if not is_connected(g):
         return 0
-    full = (1 << n) - 1
-    best = n - 1
+    adj = g._adj
+    v = min(range(n), key=lambda u: adj[u].bit_count())
+    best = adj[v].bit_count()
     if upper_bound is not None and upper_bound < best:
         best = upper_bound
-    # Any minimum separator leaves two components, and any pair drawn from
-    # different components is non-adjacent -- so the minimum over all
-    # non-adjacent pairs is exact.  Flows are capped at the best seen.
-    for a in range(n):
-        non_adj = full & ~g._adj[a] & ~((1 << (a + 1)) - 1)
-        for b in _bits(non_adj):
-            f = _vertex_capacity_max_flow(g, a, b, cap=best)
-            if f < best:
-                best = f
+    base = _split_digraph(g)
+    full = (1 << n) - 1
+    for w in _bits(full & ~adj[v] & ~(1 << v)):
+        best = min(best, _vertex_capacity_max_flow(base, v, w, cap=best))
+    for x in _bits(adj[v]):
+        later = adj[v] & ~adj[x] & ~((1 << (x + 1)) - 1)
+        for y in _bits(later):
+            best = min(best, _vertex_capacity_max_flow(base, x, y, cap=best))
     return best
 
 

@@ -256,19 +256,39 @@ def _component_masks(g: SimpleGraph) -> list[int]:
     return comps
 
 
+def _first_edge(g: SimpleGraph, comp: int) -> tuple[int, int]:
+    return next(e for e in g.edges() if (1 << e[0]) & comp)
+
+
 def _join_components(g: SimpleGraph) -> SimpleGraph:
     """Degree-preserving swaps until connected.
 
-    Takes any edge from each of two components and rewires crosswise; the
-    new endpoints lie in different components so the swap is always legal,
-    and the component count drops by one each round.
+    Each round takes the first edge ab of the first component and the
+    first edge cd of the second and rewires them into ac and bd.  The new
+    endpoints lie in different components, so the swap is always legal,
+    and it joins the two unless ab and cd are both bridges.  Rounds of
+    bridges keep the component count and may come back to a graph seen
+    before, from which they would repeat forever.  On such a repeat the
+    first edge that is not a bridge is swapped with the first edge of
+    another component instead, which joins two components.  With no
+    isolated vertex and epsilon >= phi - 1 edges some component has a
+    cycle, so such an edge exists.
     """
+    seen = set()
     while True:
         comps = _component_masks(g)
         if len(comps) <= 1:
             return g
-        first = next(e for e in g.edges() if (1 << e[0]) & comps[0])
-        second = next(e for e in g.edges() if (1 << e[0]) & comps[1])
+        if g in seen:
+            i, first = next(
+                (i, e) for i, c in enumerate(comps) for e in g.edges()
+                if (1 << e[0]) & c and _component(remove_edge(g, *e)._adj, c) == c
+            )
+            second = _first_edge(g, comps[1 if i == 0 else 0])
+        else:
+            first = _first_edge(g, comps[0])
+            second = _first_edge(g, comps[1])
+        seen.add(g)
         g = _swap(g, *first, *second)
 
 
@@ -279,11 +299,11 @@ def realize_k_connected(
 
     Small sequences (phi <= oracle_limit) are settled exactly by
     enumeration.  Larger ones first get the certain negatives out of the
-    way (not graphic, minimum term below k, too few vertices), then run a
-    degree-preserving local search: start from a greedy realization, make
-    it connected, and apply random 2-swaps that never lower connectivity,
-    up to 10*phi^2 attempts.  A failed search is labeled "heuristic" --
-    it proves nothing.
+    way (not graphic, minimum term below k, too few vertices, fewer than
+    phi - 1 edges), then run a degree-preserving local search: start from
+    a greedy realization, make it connected, and apply random 2-swaps
+    that never lower connectivity, up to 10*phi^2 attempts.  A failed
+    search is labeled "heuristic" -- it proves nothing.
     """
     if k < 1:
         raise KOutOfRange(f"k must be >= 1, got {k}")
@@ -293,7 +313,13 @@ def realize_k_connected(
                 return RealizationResult(g, "exact")
         return RealizationResult(None, "exact")
 
-    if not erdos_gallai_graphic(s) or s[-1] < k or len(s) <= k:
+    # A connected graph on phi vertices needs phi - 1 edges.
+    if (
+        not erdos_gallai_graphic(s)
+        or s[-1] < k
+        or len(s) <= k
+        or s.degree_sum < 2 * (len(s) - 1)
+    ):
         return RealizationResult(None, "exact")
 
     g = _join_components(_havel_hakimi(s))

@@ -273,15 +273,25 @@ def erdos_gallai_graphic(s: DegreeSequence) -> bool:
 
     Independent of the enumeration oracle; the two deciders are
     cross-validated over the full small-sequence universe in the tests.
+    Runs in O(n): the terms are non-increasing, so for each r the terms
+    >= r are a prefix terms[:p] whose end p only moves left as r grows,
+    and sum(min(t, r) for t in terms[r:]) is r per term of
+    terms[r:max(p, r)] plus a suffix sum.
     """
     terms = s.terms
     n = len(terms)
     if sum(terms) % 2 != 0:
         return False
+    suffix = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + terms[j]
     prefix = 0
+    p = n
     for r in range(1, n + 1):
         prefix += terms[r - 1]
-        tail = sum(min(t, r) for t in terms[r:])
-        if prefix > r * (r - 1) + tail:
+        while p and terms[p - 1] < r:
+            p -= 1
+        split = max(p, r)
+        if prefix > r * (r - 1) + r * (split - r) + suffix[split]:
             return False
     return True

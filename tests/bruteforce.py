@@ -32,6 +32,22 @@ def count_realizations(terms) -> int:
     return count
 
 
+def is_graphic(terms) -> bool:
+    """Havel-Hakimi: repeatedly join the largest degree to the next ones."""
+    degs = list(terms)
+    while True:
+        degs.sort(reverse=True)
+        if not degs or degs[0] == 0:
+            return True
+        d = degs.pop(0)
+        if d > len(degs):
+            return False
+        for i in range(d):
+            degs[i] -= 1
+            if degs[i] < 0:
+                return False
+
+
 def _subsets(items):
     for r in range(len(items) + 1):
         yield from combinations(items, r)

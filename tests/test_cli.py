@@ -6,10 +6,15 @@ Every command runs in-process through main(argv).  Exit code contract:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import kconnseq
 from kconnseq import is_k_connected, parse_edge_list, read_edge_list
 from kconnseq.cli import main
 
@@ -18,6 +23,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, timeout=30):
+    """``python -m kconnseq.cli`` in a fresh interpreter."""
+    src = str(Path(kconnseq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kconnseq.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--seq", "2,2,2,2,2", "--k", "2"],
+        ["check", "--seq", "3,3,1,1", "--k", "1", "--format", "json"],
+        ["realize", "--seq", "3,3,3,3,3,3,3,3,3,3,3,3", "--k", "3"],
+        ["check", "--seq", "2,x", "--k", "1"],
+    ],
+)
+def test_module_entry_point_matches_main(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize(
@@ -159,6 +190,16 @@ class TestRealize:
         code, out, _ = run(capsys, "realize", "--seq", "3,3,1,1", "--k", "1")
         assert code == 1
         assert "no realization exists (exact)" in out
+
+    @pytest.mark.parametrize(
+        "seq", ["1,1,1,1,1,1,1,1,1,1", "2,2,2,2,2,2,2,2,2,1,1,1,1"]
+    )
+    def test_too_few_edges_to_connect(self, seq):
+        # phi above the oracle limit and fewer than phi - 1 edges: an
+        # exact negative, where the component join used to spin forever.
+        proc = run_module("realize", "--seq", seq, "--k", "1", timeout=20)
+        assert proc.returncode == 1
+        assert proc.stdout == "no realization exists (exact)\n"
 
     def test_not_found_json_shape(self, capsys):
         code, out, _ = run(

@@ -52,6 +52,15 @@ def graph_strategy(max_n=7):
     return graphs()
 
 
+@st.composite
+def mid_size_graphs(draw):
+    """Random graphs on 8..14 vertices at a drawn edge density."""
+    n = draw(st.integers(8, 14))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return SimpleGraph(n, bruteforce.random_edges(n, rng, p))
+
+
 class TestSimpleGraph:
     def test_rejects_loops_duplicates_and_bad_labels(self):
         with pytest.raises(SelfLoop):
@@ -182,6 +191,27 @@ class TestConnectivityKnownValues:
         assert vertex_connectivity(g, upper_bound=3) == 3
         assert vertex_connectivity(g, upper_bound=99) == 5
 
+    def test_separator_through_the_min_degree_vertex(self):
+        # Vertex 0 (degree 4, the lowest-labelled minimum) sees 1, 2 of the
+        # triangle A = {1, 2, 3} and 4, 5 of the triangle B = {4, 5, 6};
+        # 7 and 8 see all of A and B.  {0, 7, 8} is the only 3-separator,
+        # so every path count from 0 reaches delta = 4 and kappa = 3 shows
+        # only between non-adjacent neighbours of 0, such as 1 and 4.
+        a, b, t = [1, 2, 3], [4, 5, 6], [7, 8]
+        edges = [(0, 1), (0, 2), (0, 4), (0, 5)]
+        edges += [(x, y) for side in (a, b) for x in side for y in side if x < y]
+        edges += [(x, y) for x in a + b for y in t]
+        g = SimpleGraph(9, edges)
+        degrees = [g.degree(v) for v in range(9)]
+        assert degrees[0] == min(degrees) == 4
+        assert all(
+            internally_disjoint_path_count(g, 0, w) == 4 for w in (3, 6, 7, 8)
+        )
+        assert internally_disjoint_path_count(g, 1, 4) == 3
+        assert vertex_connectivity(g) == 3 == bruteforce.vertex_connectivity(9, edges)
+        assert vertex_connectivity(g, upper_bound=4) == 3
+        assert is_k_connected(g, 3) and not is_k_connected(g, 4)
+
 
 class TestMengerPathCounts:
     def test_distinct_endpoints_required(self):
@@ -234,7 +264,25 @@ class TestAgainstBruteForce:
     @settings(max_examples=120, deadline=None)
     def test_vertex_connectivity_matches(self, g):
         edges = sorted(g.edges())
-        assert vertex_connectivity(g) == bruteforce.vertex_connectivity(g.n, edges)
+        kappa = bruteforce.vertex_connectivity(g.n, edges)
+        assert vertex_connectivity(g) == kappa
+        for u in range(g.n + 1):
+            assert vertex_connectivity(g, upper_bound=u) == min(kappa, u)
+
+    @given(mid_size_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_connectivity_matches_all_pairs(self, g):
+        """The pair selection against the minimum over every pair it skips."""
+        non_adjacent = [
+            (a, b) for a, b in bruteforce.all_pairs(g.n) if not g.has_edge(a, b)
+        ]
+        kappa = min(
+            (internally_disjoint_path_count(g, a, b) for a, b in non_adjacent),
+            default=g.n - 1,
+        )
+        assert vertex_connectivity(g) == kappa
+        for u in range(g.n + 1):
+            assert vertex_connectivity(g, upper_bound=u) == min(kappa, u)
 
     @given(graph_strategy(max_n=6))
     @settings(max_examples=80, deadline=None)

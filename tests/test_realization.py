@@ -7,8 +7,11 @@ two known boundary families where the idealized invariants break
 their true values.
 """
 
+import signal
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kconnseq import (
@@ -25,6 +28,7 @@ from kconnseq import (
     complete_graph,
     degree_sequence,
     enumerate_realizations,
+    erdos_gallai_graphic,
     is_k_connected,
     is_maximally_non_k_connected,
     normalize,
@@ -32,6 +36,31 @@ from kconnseq import (
     vertex_connectivity,
     witness_sequence,
 )
+from kconnseq.graph_core import SimpleGraph, is_connected
+from kconnseq.realization import (
+    _component_masks,
+    _havel_hakimi,
+    _join_components,
+    _swap,
+)
+
+import bruteforce
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging (POSIX alarm)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBaseKRegular:
@@ -245,3 +274,73 @@ class TestRealizeKConnected:
     def test_k_must_be_positive(self):
         with pytest.raises(KOutOfRange):
             realize_k_connected(normalize([2, 2, 2]), 0)
+
+    def test_exact_negative_too_few_edges_for_a_tree(self):
+        # Above the oracle limit, with fewer than phi - 1 edges: no
+        # connected realization, settled without any search.
+        for raw in ([1] * 10, [2] * 9 + [1] * 4):
+            with time_limit(10):
+                result = realize_k_connected(normalize(raw), 1)
+            assert not result.found and result.method == "exact"
+
+    def test_tree_sequence_is_realized(self):
+        # Exactly phi - 1 edges: the greedy realization has cycles and
+        # extra components, and its first edges are all bridges.
+        s = normalize([3] * 6 + [2] * 4 + [1] * 8)
+        with time_limit(10):
+            result = realize_k_connected(s, 1)
+        assert result.found
+        assert degree_sequence(result.graph) == s
+        assert is_connected(result.graph)
+
+
+def _first_edge_join(g, rounds=1_000):
+    """The plain first-edge swap loop, cut off after ``rounds`` rounds."""
+    for _ in range(rounds):
+        comps = _component_masks(g)
+        if len(comps) <= 1:
+            return g
+        first = min(e for e in g.edges() if comps[0] >> e[0] & 1)
+        second = min(e for e in g.edges() if comps[1] >> e[0] & 1)
+        g = _swap(g, *first, *second)
+    return None
+
+
+@st.composite
+def joinable_graphs(draw):
+    """Graphs with no isolated vertex and at least n - 1 edges: greedy
+    realizations, or disjoint unions of small trees with a few extra
+    edges under a random labelling."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(1, 3), min_size=2, max_size=30))
+        s = normalize(raw)
+        assume(erdos_gallai_graphic(s) and s.degree_sum >= 2 * (len(s) - 1))
+        return _havel_hakimi(s)
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
+    label = draw(st.permutations(range(sum(sizes))))
+    edges = set()
+    start = 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.add((start + draw(st.integers(0, v - 1)), start + v))
+        extra = st.lists(st.sampled_from(bruteforce.all_pairs(size)), max_size=3)
+        for a, b in draw(extra):
+            edges.add((start + a, start + b))
+        start += size
+    assume(len(edges) >= start - 1)
+    return SimpleGraph(start, [(label[a], label[b]) for a, b in edges])
+
+
+class TestJoinComponents:
+    @given(joinable_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_connected_with_the_same_degrees(self, g):
+        with time_limit(10):
+            joined = _join_components(g)
+        assert is_connected(joined)
+        assert [joined.degree(v) for v in range(g.n)] == [
+            g.degree(v) for v in range(g.n)
+        ]
+        # Where the plain first-edge swaps end, the result is theirs.
+        plain = _first_edge_join(g)
+        assert plain is None or plain == joined

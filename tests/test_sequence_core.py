@@ -18,7 +18,7 @@ from kconnseq import (
     theorem2_check,
 )
 
-from bruteforce import count_realizations
+from bruteforce import count_realizations, is_graphic
 
 sequences = st.lists(st.integers(1, 8), min_size=1, max_size=8).map(normalize)
 small_sequences = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(normalize)
@@ -196,3 +196,15 @@ class TestErdosGallai:
     def test_agrees_with_exhaustive_realization_count(self, raw):
         s = normalize(raw)
         assert erdos_gallai_graphic(s) == (count_realizations(s.terms) > 0)
+
+    @given(st.data())
+    def test_agrees_with_havel_hakimi(self, data):
+        # Terms up to phi - 1 and a mostly even sum keep over a quarter of
+        # the draws graphic, so both answers get exercised up to phi = 80.
+        phi = data.draw(st.integers(1, 80))
+        term = st.integers(1, max(phi - 1, 1))
+        raw = data.draw(st.lists(term, min_size=phi, max_size=phi))
+        if sum(raw) % 2 and data.draw(st.booleans()):
+            raw[0] = raw[0] - 1 if raw[0] > 1 else raw[0] + 1
+        s = normalize(raw)
+        assert erdos_gallai_graphic(s) == is_graphic(s.terms)
