@@ -9,7 +9,9 @@ report), and ``connectivity`` (analyze an edge-list file).
 
 Exit codes, everywhere: 0 predicate true / success, 1 predicate false /
 nothing found, 2 input or usage error, 3 audit completed and found
-discrepancies.  No other codes are ever returned.
+discrepancies.  No other codes are ever returned.  Every exit 2 writes
+exactly one ``error:`` line to stderr and nothing else: bad input, usage
+mistakes, running out of memory and Ctrl-C alike.
 """
 
 from __future__ import annotations
@@ -404,8 +406,16 @@ def cmd_connectivity(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        print(f"error: {message} (see {self.prog} --help)", file=sys.stderr)
+        sys.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kconnseq",
         description=(
             "Decide, construct, and audit k-connected degree sequences."
@@ -492,6 +502,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KconnseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_INPUT
 
 

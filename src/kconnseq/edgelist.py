@@ -40,14 +40,20 @@ def parse_edge_list(text: str) -> SimpleGraph:
             if header:
                 if declared_n is not None:
                     raise EdgeListParseError(lineno, "second n= header")
-                declared_n = int(header.group(1))
+                try:
+                    declared_n = int(header.group(1))
+                except ValueError:  # beyond int()'s digit limit
+                    raise EdgeListParseError(lineno, "number too long") from None
             continue
         m = _EDGE_LINE.match(line)
         if not m:
             raise EdgeListParseError(
                 lineno, f"expected 'a b' with two decimal labels, got {line!r}"
             )
-        a, b = int(m.group(1)), int(m.group(2))
+        try:
+            a, b = int(m.group(1)), int(m.group(2))
+        except ValueError:  # beyond int()'s digit limit
+            raise EdgeListParseError(lineno, "number too long") from None
         if a == b:
             raise EdgeListParseError(lineno, f"self-loop {a} {b}")
         key = (min(a, b), max(a, b))

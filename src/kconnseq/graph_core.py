@@ -154,10 +154,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _component(adj: Sequence[int], live: int) -> int:
     """Vertices of the mask ``live`` reachable from its lowest vertex
-    without leaving ``live``; 0 when ``live`` is empty.
+    without leaving ``live``; 0 when ``live`` is empty.  Stops as soon as
+    every live vertex has been reached.
     """
     seen = frontier = live & -live
-    while frontier:
+    while frontier and seen != live:
         nxt = 0
         m = frontier
         while m:

@@ -9,7 +9,17 @@ Connectivity is decided by brute-force vertex-subset removal -- a second,
 independent route from the max-flow computation in graph_core, so the two
 can cross-check each other in tests.
 
-Audits parallelize over sequences (or edge-count buckets) with
+The edge-count questions (the corollary audit and the largest
+non-k-connected graph) enumerate only graphs that can fail k-connectivity.
+A graph that is not complete and has kappa < k loses its connectivity to
+some removal set S with |S| < k, and S leaves it with a component A that
+holds the lowest surviving vertex.  So it lies in the family (S, A): the
+graphs with no edge between A and B, the rest of V - S.  Every member of
+a family has kappa <= |S| < k, so the families plus K_n (when n - 1 < k)
+are exactly the graphs that are not k-connected.  Each candidate still
+goes through removal-set kappa; a family only chooses what to look at.
+
+Audits parallelize over sequences (or removal sets) with
 ProcessPoolExecutor; results are merged in task-submission order and then
 sorted, so reports are byte-identical for any worker count.
 """
@@ -23,7 +33,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .errors import TooLarge
-from .graph_core import SimpleGraph, _component
+from .graph_core import SimpleGraph, _bits, _component, complete_graph
 from .sequence_core import (
     DegreeSequence,
     corollary_threshold,
@@ -144,6 +154,93 @@ def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
     return min(cap, n - 1)
 
 
+def _separators(n: int, k: int) -> list[int]:
+    """Every vertex set of at most min(k - 1, n - 2) vertices, as masks."""
+    sizes = range(min(k - 1, n - 2) + 1)
+    return [rm for size in sizes for rm in _removal_masks(n, size)]
+
+
+def _separated_graphs(
+    n: int, removed: int, m: int, min_degree: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(edge mask, adjacency) of the m-edge graphs that ``removed`` separates.
+
+    The vertices outside ``removed`` split into A, which holds the lowest
+    of them, and a non-empty B.  For each split, every graph with exactly
+    m edges and no A-B edge is yielded, so a graph with several such
+    splits comes once per split.  Splits where a side is too small for
+    its vertices to reach ``min_degree`` are skipped: a vertex of a side
+    sees at most the rest of its side and ``removed``.  Bit i of the edge
+    mask is the i-th pair of combinations(range(n), 2), so its set bits
+    list the edges in sorted order.
+    """
+    min_side = max(1, min_degree - removed.bit_count() + 1)
+    pairs = list(combinations(range(n), 2))
+    rest = ((1 << n) - 1) & ~removed
+    low = rest & -rest
+    others = rest ^ low
+    sub = others
+    while True:
+        side_a = low | sub
+        side_b = rest ^ side_a
+        na, nb = side_a.bit_count(), side_b.bit_count()
+        if min(na, nb) >= min_side and len(pairs) - na * nb >= m:
+            allowed = [
+                i
+                for i, (a, b) in enumerate(pairs)
+                if not (side_a >> a & 1 and side_b >> b & 1)
+                and not (side_b >> a & 1 and side_a >> b & 1)
+            ]
+            full = 0
+            base = [0] * n
+            for i in allowed:
+                a, b = pairs[i]
+                full |= 1 << i
+                base[a] |= 1 << b
+                base[b] |= 1 << a
+            for dropped in combinations(allowed, len(allowed) - m):
+                mask = full
+                adj = base.copy()
+                for i in dropped:
+                    a, b = pairs[i]
+                    mask ^= 1 << i
+                    adj[a] ^= 1 << b
+                    adj[b] ^= 1 << a
+                yield mask, adj
+        if not sub:
+            return
+        sub = (sub - 1) & others
+
+
+def _violation(adj: Sequence[int], n: int, k: int, enforce: bool) -> int | None:
+    """kappa-hat of a graph that is in scope and not k-connected, else None.
+
+    In scope means minimum degree >= k when ``enforce`` is set.
+    """
+    if enforce and any(row.bit_count() < k for row in adj):
+        return None
+    kap = _kappa_capped(adj, n, k)
+    return kap if kap < k else None
+
+
+def _map(fn, tasks: list, jobs: int | None, chunksize: int = 1) -> list:
+    """fn over tasks in submission order; a process pool when jobs > 1.
+
+    An exception or Ctrl-C in the parent cancels the tasks not yet
+    started instead of waiting for them.
+    """
+    if jobs is None or jobs <= 1:
+        return [fn(t) for t in tasks]
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        results = list(pool.map(fn, tasks, chunksize=chunksize))
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+    return results
+
+
 # -- public enumeration API ---------------------------------------------------
 
 
@@ -238,10 +335,13 @@ def oracle_max_edges_non_k_connected(
 ) -> int | None:
     """Largest edge count of an n-vertex graph that is NOT k-connected.
 
-    Scans edge counts downward from C(n,2), enumerating all labeled graphs
-    of that size, optionally keeping only those with minimum degree >= k.
-    Returns None when no graph qualifies at all (e.g. the min-degree
-    constraint is unsatisfiable on n vertices).
+    Scans edge counts downward from C(n,2).  At each count it enumerates
+    the graphs some set of fewer than k vertices separates, plus K_n when
+    n - 1 < k (see the module docstring: together these are every graph
+    that is not k-connected), optionally keeping only those with minimum
+    degree >= k, and stops at the first count where one is confirmed by
+    removal-set kappa.  Returns None when no graph qualifies at all (e.g.
+    the min-degree constraint is unsatisfiable on n vertices).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -249,17 +349,17 @@ def oracle_max_edges_non_k_connected(
         raise ValueError(f"k must be >= 1, got {k}")
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
-    pairs = list(combinations(range(n), 2))
-    for m in range(len(pairs), -1, -1):
-        for combo in combinations(pairs, m):
-            adj = [0] * n
-            for a, b in combo:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            if enforce_min_degree and any(row.bit_count() < k for row in adj):
-                continue
-            if _kappa_capped(adj, n, k) < k:
-                return m
+    max_edges = comb(n, 2)
+    separators = _separators(n, k)
+    min_degree = k if enforce_min_degree else 0
+    complete = complete_graph(n)._adj
+    if n - 1 < k and _violation(complete, n, k, enforce_min_degree) is not None:
+        return max_edges
+    for m in range(max_edges, -1, -1):
+        for removed in separators:
+            for _mask, adj in _separated_graphs(n, removed, m, min_degree):
+                if _violation(adj, n, k, enforce_min_degree) is not None:
+                    return m
     return None
 
 
@@ -307,11 +407,7 @@ def _sequence_profiles(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     universe = [s.terms for s in all_degree_sequences(n)]
     tasks = [(terms, k_max) for terms in universe]
-    if jobs is None or jobs <= 1:
-        results = [_profile_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_profile_worker, tasks, chunksize=16))
+    results = _map(_profile_worker, tasks, jobs, chunksize=16)
     return [
         (terms, count, lo, hi)
         for terms, (count, lo, hi) in zip(universe, results)
@@ -464,23 +560,39 @@ def audit_theorem2(
     )
 
 
-def _corollary_worker(args: tuple[int, int, int, bool]) -> list[tuple]:
-    """All labeled n-vertex graphs with exactly m edges that break the claim."""
-    n, k, m, enforce = args
-    pairs = list(combinations(range(n), 2))
-    violations = []
-    for combo in combinations(pairs, m):
-        adj = [0] * n
-        for a, b in combo:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        if enforce and any(row.bit_count() < k for row in adj):
-            continue
-        kap = _kappa_capped(adj, n, k)
-        if kap < k:
-            degs = sorted((row.bit_count() for row in adj), reverse=True)
-            violations.append((combo, kap, degs))
-    return violations
+def _corollary_worker(args: tuple[int, int, int, bool, int]) -> list[tuple]:
+    """(edge mask, kappa-hat, degrees) of each distinct violator with at
+    least lo edges among the graphs the vertex set ``removed`` separates.
+    """
+    n, k, lo, enforce, removed = args
+    found: dict[int, tuple[int, list[int]]] = {}
+    for m in range(lo, comb(n, 2) + 1):
+        for mask, adj in _separated_graphs(n, removed, m, k if enforce else 0):
+            if mask in found:
+                continue
+            kap = _violation(adj, n, k, enforce)
+            if kap is not None:
+                degs = sorted((row.bit_count() for row in adj), reverse=True)
+                found[mask] = (kap, degs)
+    return [(mask, kap, degs) for mask, (kap, degs) in found.items()]
+
+
+def _corollary_violators(
+    n: int, k: int, lo: int, enforce: bool, jobs: int | None
+) -> dict[int, tuple[int, list[int]]]:
+    """Edge mask -> (kappa-hat, degrees) of every graph with at least lo
+    edges that is in scope and not k-connected (see audit_corollary)."""
+    tasks = [(n, k, lo, enforce, rm) for rm in _separators(n, k)]
+    found: dict[int, tuple[int, list[int]]] = {}
+    for shard in _map(_corollary_worker, tasks, jobs):
+        for mask, kap, degs in shard:
+            found.setdefault(mask, (kap, degs))
+    max_edges = comb(n, 2)
+    if n - 1 < k and max_edges >= lo:
+        kap = _violation(complete_graph(n)._adj, n, k, enforce)
+        if kap is not None:
+            found[(1 << max_edges) - 1] = (kap, [n - 1] * n)
+    return found
 
 
 def audit_corollary(
@@ -497,6 +609,21 @@ def audit_corollary(
     (optionally restricted to minimum degree >= k) that is not k-connected
     becomes an entry.  An empty entry list means the claim held on this
     instance under the chosen regime.
+
+    The violators are enumerated, not the whole universe.  A graph that is
+    not complete and has kappa < k is separated by some vertex set S with
+    |S| < k (and |S| <= n - 2) into the component A holding the lowest
+    vertex outside S and a non-empty rest B; so the sweep runs through
+    every S and every split of V - S into such A and B, and takes every
+    graph above the threshold with no A-B edge, plus K_n when n - 1 < k.
+    Each one passes the min-degree filter and removal-set kappa before it
+    becomes an entry, and duplicates are dropped by edge mask.  With
+    jobs > 1 there is one task per removal set S.
+
+    ``graphs_checked`` (and ``universe.graph_count``) is the number of
+    labeled graphs the claim covers, sum of C(C(n,2), m) over m from the
+    threshold to C(n,2): the universe the entries are complete for, not
+    the number of candidates the sweep visited.
     """
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
@@ -504,30 +631,24 @@ def audit_corollary(
         raise ValueError(f"k must be >= 1, got {k}")
     threshold = corollary_threshold(n, k)
     max_edges = comb(n, 2)
-    lo = max(threshold, 0)
-    tasks = [(n, k, m, enforce_min_degree) for m in range(lo, max_edges + 1)]
-    if jobs is None or jobs <= 1:
-        buckets = [_corollary_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            buckets = list(pool.map(_corollary_worker, tasks))
+    found = _corollary_violators(n, k, threshold, enforce_min_degree, jobs)
+    pairs = list(combinations(range(n), 2))
     entries = []
-    for bucket in buckets:
-        for combo, kap, degs in bucket:
-            entries.append(
-                {
-                    "theorem": "corollary",
-                    "k": k,
-                    "edge_count": len(combo),
-                    "edges": [list(e) for e in combo],
-                    "degree_sequence": list(degs),
-                    "claimed": True,
-                    "observed": False,
-                    "connectivity": kap,
-                }
-            )
+    for mask, (kap, degs) in found.items():
+        entries.append(
+            {
+                "theorem": "corollary",
+                "k": k,
+                "edge_count": mask.bit_count(),
+                "edges": [list(pairs[i]) for i in _bits(mask)],
+                "degree_sequence": degs,
+                "claimed": True,
+                "observed": False,
+                "connectivity": kap,
+            }
+        )
     entries.sort(key=lambda e: (e["edge_count"], e["edges"]))
-    graphs_checked = sum(comb(max_edges, m) for m in range(lo, max_edges + 1))
+    graphs_checked = sum(comb(max_edges, m) for m in range(threshold, max_edges + 1))
     universe = {
         "n": n,
         "k": k,

@@ -8,6 +8,7 @@ correctness over speed.  Keep it that way: these are the referees.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -121,3 +122,73 @@ def _same_component(n: int, edges, removed, a: int, b: int) -> bool:
 
 def random_edges(n: int, rng, p: float = 0.5) -> list[tuple[int, int]]:
     return [e for e in all_pairs(n) if rng.random() < p]
+
+
+def kappa_capped(n: int, edges, cap: int) -> int:
+    """min(vertex connectivity, cap), trying removal sets of size < cap.
+
+    Same rule as vertex_connectivity above, with int-mask adjacency and
+    a flood fill, because the corollary reference calls it ~10^5 times.
+    """
+    if n <= 1:
+        return 0
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    full = (1 << n) - 1
+    for size in range(min(cap, n - 1)):
+        for removal in combinations(range(n), size):
+            live = full
+            for v in removal:
+                live &= ~(1 << v)
+            seen = live & -live
+            grown = True
+            while grown:
+                reach = seen
+                for v in range(n):
+                    if seen >> v & 1:
+                        reach |= adj[v]
+                reach &= live
+                grown = reach != seen
+                seen = reach
+            if seen != live:
+                return size
+    return min(cap, n - 1)
+
+
+def corollary_violations(n: int, k: int, enforce_min_degree: bool, lo=None) -> list:
+    """(edges, capped kappa, degrees descending) of every labeled graph
+    with at least lo edges (default C(n-2,2) + 2k) that is not
+    k-connected, optionally only those with minimum degree >= k; sorted
+    by size, then edges.
+
+    Scans every edge subset of every size from lo up.
+    """
+    if lo is None:
+        lo = comb(n - 2, 2) + 2 * k
+    pairs = all_pairs(n)
+    out = []
+    for m in range(max(lo, 0), len(pairs) + 1):
+        for edges in combinations(pairs, m):
+            degs = degree_vector(n, edges)
+            if enforce_min_degree and min(degs) < k:
+                continue
+            kap = kappa_capped(n, edges, k)
+            if kap < k:
+                out.append((list(edges), kap, sorted(degs, reverse=True)))
+    return out
+
+
+def max_edges_non_k_connected(n: int, k: int, enforce_min_degree: bool):
+    """Largest edge count of a graph on n vertices with kappa < k (and
+    minimum degree >= k if asked), scanning edge subsets from the top;
+    None when no graph qualifies."""
+    pairs = all_pairs(n)
+    for m in range(len(pairs), -1, -1):
+        for edges in combinations(pairs, m):
+            if enforce_min_degree and min(degree_vector(n, edges)) < k:
+                continue
+            if kappa_capped(n, edges, k) < k:
+                return m
+    return None

@@ -5,18 +5,23 @@ Every command runs in-process through main(argv).  Exit code contract:
 2 = input error, 3 = audit found discrepancies.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kconnseq
-from kconnseq import is_k_connected, parse_edge_list, read_edge_list
+from kconnseq import cli, is_k_connected, parse_edge_list, read_edge_list
 from kconnseq.cli import main
+from test_edgelist import fuzz_text
 
 
 def run(capsys, *argv):
@@ -434,3 +439,104 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def call_main(argv):
+    """(exit code, stdout, stderr) of main; argparse usage errors leave
+    through SystemExit(2), as TestParserSurface expects."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    """Exit code within the contract; exit 2 iff one error line."""
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def run_guarded(capsys, *argv):
+    """run(), failing the test (not the session) if Ctrl-C escapes main."""
+    try:
+        return run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+class TestAbnormalEnds:
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError, "error: out of memory\n"),
+            (KeyboardInterrupt, "error: interrupted\n"),
+        ],
+    )
+    def test_one_line_and_exit_two(self, capsys, monkeypatch, exc, line):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", boom)
+        code, out, err = run_guarded(capsys, "check", "--seq", "2,2,2", "--k", "2")
+        assert (code, out, err) == (2, "", line)
+        assert "Traceback" not in err
+
+    def test_interrupted_parallel_audit(self, capsys, monkeypatch):
+        from kconnseq import oracle
+
+        shutdowns = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, tasks, chunksize=1):
+                raise KeyboardInterrupt
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", Pool)
+        code, out, err = run_guarded(
+            capsys, "audit", "--theorem", "1", "--n", "4", "--jobs", "2"
+        )
+        assert (code, out, err) == (2, "", "error: interrupted\n")
+        assert shutdowns == [(False, True)]
+
+    def test_usage_error_is_one_line(self, capsys):
+        code, out, err = call_main(["check", "--seq", "-1,2", "--k", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: argument --seq: expected one argument"
+            " (see kconnseq check --help)\n"
+        )
+
+
+class TestFuzz:
+    """Untrusted input never gets past the one-line error contract."""
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.lists(st.integers(-1, 9).map(str), max_size=8).map(",".join),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_check_sequence(self, text):
+        code, _, err = call_main(["check", "--seq", text, "--k", "2"])
+        assert_clean_exit(code, err)
+
+    @given(st.one_of(fuzz_text.map(str.encode), st.binary(max_size=200)))
+    @settings(max_examples=100, deadline=None)
+    def test_connectivity_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.edges"
+        path.write_bytes(data)
+        code, _, err = call_main(["connectivity", str(path)])
+        assert_clean_exit(code, err)

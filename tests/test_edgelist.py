@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kconnseq import (
     EdgeListParseError,
     SimpleGraph,
+    TooLarge,
     format_edge_list,
     parse_edge_list,
     read_edge_list,
@@ -14,6 +15,17 @@ from kconnseq import (
 )
 
 import bruteforce
+
+# Lines that are often close to the grammar, so fuzzing reaches the
+# header, label and duplicate checks and not only the line pattern.
+_NEAR_LINES = st.one_of(
+    st.builds("{} {}".format, st.integers(0, 12), st.integers(0, 12)),
+    st.builds("# n={}".format, st.integers(0, 14)),
+    st.sampled_from(["", "   ", "# note", "0  1", "0\t1", "1 x", "1 2 3", "-1 2"]),
+    st.text(max_size=12),
+)
+near_edge_lists = st.lists(_NEAR_LINES, max_size=12).map("\n".join)
+fuzz_text = st.one_of(st.text(max_size=200), near_edge_lists)
 
 
 @st.composite
@@ -70,6 +82,23 @@ class TestParse:
 
     def test_header_position_does_not_matter(self):
         assert parse_edge_list("0 1\n# n=5\n").n == 5
+
+    @pytest.mark.parametrize(
+        "text", ["0 " + "9" * 5000, "# n=" + "9" * 5000], ids=["label", "header"]
+    )
+    def test_number_too_long_for_int(self, text):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list("0 1\n" + text + "\n")
+        assert str(exc.value) == "number too long at line 2"
+
+    @given(fuzz_text)
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            g = parse_edge_list(text)
+        except (EdgeListParseError, TooLarge):
+            return
+        assert parse_edge_list(format_edge_list(g)) == g
 
 
 class TestFormat:

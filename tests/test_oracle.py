@@ -7,6 +7,9 @@ with the flow route from graph_core.
 """
 
 import json
+import time
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +202,72 @@ class TestAuditCorollary:
         jsonschema.validate(audit_theorem1(4, 2).to_json_dict(), schema)
         jsonschema.validate(audit_theorem2(5, 2).to_json_dict(), schema)
 
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(2, 7) for k in range(1, n + 2)] + [(7, 3)],
+    )
+    def test_matches_exhaustive_reference(self, n, k):
+        # Same entries, kappa values and degree lists as scanning every
+        # labeled graph above the threshold.  One scan serves both
+        # regimes: the min-degree violators are those with degrees >= k.
+        scan = [
+            (list(map(list, edges)), kap, degs)
+            for edges, kap, degs in bruteforce.corollary_violations(n, k, False)
+        ]
+        for enforce in (False, True):
+            want = [v for v in scan if not enforce or v[2][-1] >= k]
+            report = audit_corollary(n, k, enforce)
+            got = [
+                (e["edges"], e["connectivity"], e["degree_sequence"])
+                for e in report.entries
+            ]
+            assert got == want, enforce
+            assert report.summary["violations"] == len(want)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_min_degree_sweep_below_the_threshold(self, n):
+        # Above the threshold the min-degree regime has no violators, so
+        # its family pruning only shows from a lower starting count.
+        from kconnseq.oracle import _bits, _corollary_violators
+
+        pairs = bruteforce.all_pairs(n)
+        seen = 0
+        for k in range(1, n + 1):
+            lo = corollary_threshold(n, k) - 3
+            found = _corollary_violators(n, k, lo, True, None)
+            got = sorted(
+                ([list(pairs[i]) for i in _bits(mask)], kap, degs)
+                for mask, (kap, degs) in found.items()
+            )
+            want = bruteforce.corollary_violations(n, k, True, lo)
+            assert got == sorted((list(map(list, e)), kap, d) for e, kap, d in want), k
+            seen += len(want)
+        assert n < 4 or seen
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complete_graph_below_k(self, n):
+        # No vertex set separates K_n; the sweep adds it when n - 1 < k.
+        # (The audit's threshold lies above C(n,2) for those k.)
+        from kconnseq.oracle import _corollary_violators
+
+        full = (1 << comb(n, 2)) - 1
+        found = _corollary_violators(n, n, comb(n, 2), False, None)
+        assert found == {full: (n - 1, [n - 1] * n)}
+        assert _corollary_violators(n, n - 1, comb(n, 2), False, None) == {}
+
+    def test_parallel_shards_merge_like_serial(self):
+        # At k = 3 one graph can lie in the shards of several removal sets.
+        report = audit_corollary(7, 3, False, jobs=2)
+        assert report.to_json_dict() == audit_corollary(7, 3, False).to_json_dict()
+        assert report.summary["violations"] == 1722
+
+    def test_large_audit_is_quick(self):
+        # n = 8 covers 11,698,223 labeled graphs; only separated ones are built.
+        start = time.perf_counter()
+        report = audit_corollary(8, 2, True)
+        assert time.perf_counter() - start < 10.0
+        assert report.summary == {"graphs_checked": 11_698_223, "violations": 0}
+
     def test_every_golden_validates(self, golden_dir, load_schema):
         import jsonschema
 
@@ -222,7 +291,7 @@ class TestMaxEdges:
 
     def test_threshold_relation(self):
         # one edge below the corollary threshold, in the guarded regime
-        for n, k in [(5, 1), (5, 2), (6, 1), (6, 2)]:
+        for n, k in [(5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (7, 2), (7, 3), (7, 4)]:
             assert (
                 oracle_max_edges_non_k_connected(n, k, True)
                 == corollary_threshold(n, k) - 1
@@ -234,3 +303,42 @@ class TestMaxEdges:
 
     def test_none_when_nothing_qualifies(self):
         assert oracle_max_edges_non_k_connected(3, 2, True) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("enforce", [True, False], ids=["mindeg", "all"])
+    def test_matches_exhaustive_scan(self, n, enforce):
+        for k in range(1, n + 2):
+            assert oracle_max_edges_non_k_connected(
+                n, k, enforce
+            ) == bruteforce.max_edges_non_k_connected(n, k, enforce), k
+
+
+class TestSeparatedGraphs:
+    """The families behind the corollary audit and the max-edge scan."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_families_are_exactly_the_non_k_connected_graphs(self, n):
+        from kconnseq.oracle import _separated_graphs, _separators
+
+        pairs = bruteforce.all_pairs(n)
+        for k in range(1, n + 1):
+            generated = set()
+            for m in range(len(pairs) + 1):
+                for removed in _separators(n, k):
+                    for mask, adj in _separated_graphs(n, removed, m, 0):
+                        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                        assert len(edges) == m
+                        rows = [0] * n
+                        for a, b in edges:
+                            rows[a] |= 1 << b
+                            rows[b] |= 1 << a
+                        assert adj == rows
+                        generated.add(frozenset(edges))
+            expected = {
+                frozenset(edges)
+                for m in range(len(pairs))  # K_n is handled on its own
+                for edges in combinations(pairs, m)
+                if bruteforce.vertex_connectivity(n, edges) < k
+            }
+            assert generated == expected, k
+
