@@ -45,7 +45,6 @@ from .graph_core import (
     complete_graph,
     degree_sequence,
     edge,
-    empty_graph,
     graph_union,
     internally_disjoint_path_count,
     is_connected,

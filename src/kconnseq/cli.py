@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
@@ -67,16 +68,22 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# What int() accepts once stripped, less "_" separators and non-ASCII digits.
+_TERM = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_sequence(text: str) -> DegreeSequence:
     parts = text.split(",")
     if len(parts) > MAX_VERTICES:
         raise TooLarge(f"--seq has {len(parts)} terms, over the cap of {MAX_VERTICES}")
     try:
-        values = [int(part) for part in parts]
-    except ValueError:
+        values = [int(part) for part in parts if _TERM.fullmatch(part.strip())]
+    except ValueError:  # beyond int()'s digit limit
+        values = []
+    if len(values) != len(parts):
         raise KconnseqError(
             f"sequence must be comma-separated integers, got {text!r}"
-        ) from None
+        )
     return normalize(values)
 
 

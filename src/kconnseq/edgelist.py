@@ -2,8 +2,9 @@
 
 Grammar (UTF-8, line-oriented):
 
-* an edge line is exactly two base-10 vertex labels separated by a single
-  space: ``a b`` with a, b >= 0 and a != b, vertices 0-indexed;
+* an edge line is exactly two base-10 vertex labels, in the ASCII digits
+  0-9, separated by a single space: ``a b`` with a, b >= 0 and a != b,
+  vertices 0-indexed;
 * lines starting with ``#`` are comments;
 * a comment matching ``# n=<count>`` declares the vertex count, which
   otherwise defaults to 1 + the largest label (the header is how isolated
@@ -23,8 +24,8 @@ from .graph_core import SimpleGraph
 
 __all__ = ["parse_edge_list", "read_edge_list", "format_edge_list", "write_edge_list"]
 
-_EDGE_LINE = re.compile(r"^(\d+) (\d+)$")
-_HEADER_LINE = re.compile(r"^#\s*n=(\d+)\s*$")
+_EDGE_LINE = re.compile(r"^([0-9]+) ([0-9]+)$")
+_HEADER_LINE = re.compile(r"^#\s*n=([0-9]+)\s*$")
 
 
 def parse_edge_list(text: str) -> SimpleGraph:

@@ -35,7 +35,6 @@ __all__ = [
     "edge",
     "SimpleGraph",
     "complete_graph",
-    "empty_graph",
     "complement",
     "graph_union",
     "add_edge",
@@ -106,14 +105,6 @@ class SimpleGraph:
         self._check_vertex(v)
         return self._adj[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(_bits(self._adj[v]))
-
-    def neighbor_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v]
-
     def edges(self) -> Iterator[Edge]:
         """Every edge once, as (a, b) with a < b, in ascending order."""
         for a, mask in enumerate(self._adj):
@@ -173,10 +164,6 @@ def _component(adj: Sequence[int], live: int) -> int:
 def complete_graph(n: int) -> SimpleGraph:
     full = (1 << n) - 1
     return SimpleGraph._from_masks(n, [full ^ (1 << v) for v in range(n)])
-
-
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph._from_masks(n, [0] * n)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:

@@ -15,8 +15,11 @@ Three construction families live here:
 
 Only augment_chain verifies its graphs at run time: every chain graph
 is checked k-connected, and a failure raises AugmentationStuck rather
-than returning a quietly wrong graph.  The local search in
-realize_k_connected measures connectivity at every step.
+than returning a quietly wrong graph.  realize_k_connected starts its
+local search from a Havel-Hakimi realization that is connected by
+construction whenever the sequence has a connected realization at all
+(the proof is in _havel_hakimi), and measures connectivity at every
+step.
 base_k_regular, build_G1 and build_G2 are closed-form recipes that
 return their graph unchecked; their connectivity is checked by the test
 suite (TestBaseKRegular, TestWitnessGraphs, acceptance criterion 2).
@@ -36,7 +39,6 @@ from .errors import (
 )
 from .graph_core import (
     SimpleGraph,
-    _component,
     add_edge,
     complement,
     complete_graph,
@@ -129,14 +131,12 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
     steps = [_verified_step(g, k)]
     while g.edge_count < epsilon_target:
         degs = [g.degree(v) for v in range(g.n)]
-        best = None
-        best_key = None
-        for a, b in complement(g).edges():
-            da, db = degs[a], degs[b]
-            key = (min(da, db), max(da, db), a, b)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b)
+        # edges() is in ascending order, so ties go to the lowest pair
+        best = min(
+            complement(g).edges(),
+            key=lambda e: sorted((degs[e[0]], degs[e[1]])),
+            default=None,
+        )
         if best is None:
             raise AugmentationStuck(
                 f"no complement edge available at {g.edge_count} edges"
@@ -226,70 +226,50 @@ class RealizationResult:
 
 
 def _havel_hakimi(s: DegreeSequence) -> SimpleGraph:
+    """Greedy realization of a graphic s that is connected whenever it can be.
+
+    Each round lays off the vertex v of least positive residual degree d
+    (highest label on ties): v is joined to the d other vertices of
+    highest residual degree (lowest labels on ties) and leaves the pool,
+    as does every partner whose residual drops to 0.  Kleitman and Wang
+    (Discrete Math. 6, 1973) showed that laying off any vertex this way
+    keeps a graphic sequence graphic, so the rounds never run out of
+    partners.
+
+    When the sum of s is at least 2(phi - 1), the graph is connected, so
+    no repair pass is needed.  By induction on phi, for a graphic s of
+    positive terms with that sum: for phi = 2, s is 1,1 and the graph is
+    one edge.  For phi >= 3, let v be laid off first, with the least term
+    d.  The residual on the other phi - 1 vertices stays positive: a
+    partner drops to 0 only if its degree was 1, and as partners have the
+    highest degrees, every term would then be 1, so phi >= 2(phi - 1)
+    would give phi <= 2.  The residual also keeps the sum bound: for
+    d = 1 its sum is sum - 2 >= 2(phi - 2); for d >= 2 every term is at
+    least d, so sum - 2d >= (phi - 2)d >= 2(phi - 2).  The later rounds
+    are this same construction on the residual, which is graphic, so they
+    build a connected graph on the other vertices, and v joins it by
+    d >= 1 edges.
+    """
     n = len(s)
     adj = [0] * n
-    pool = [(t, v) for v, t in enumerate(s.terms)]
-    while pool:
-        pool.sort(key=lambda p: (-p[0], p[1]))
-        d, v = pool.pop(0)
-        if d == 0:
-            break
-        if d > len(pool) or pool[d - 1][0] <= 0:
+    residual = list(s.terms)
+    live = list(range(n))
+    while live:
+        live.sort(key=lambda u: (-residual[u], u))
+        v = live.pop()
+        partners = live[: residual[v]]
+        if len(partners) < residual[v]:
             raise AugmentationStuck(
                 "degree reduction failed on a sequence that passed the"
                 " graphicality test"
             )
-        for i in range(d):
-            du, u = pool[i]
+        for u in partners:
             adj[v] |= 1 << u
             adj[u] |= 1 << v
-            pool[i] = (du - 1, u)
+            residual[u] -= 1
+            if not residual[u]:
+                live.remove(u)
     return SimpleGraph._from_masks(n, adj)
-
-
-def _component_masks(g: SimpleGraph) -> list[int]:
-    left = (1 << g.n) - 1
-    comps = []
-    while left:
-        comps.append(_component(g._adj, left))
-        left &= ~comps[-1]
-    return comps
-
-
-def _first_edge(g: SimpleGraph, comp: int) -> tuple[int, int]:
-    return next(e for e in g.edges() if (1 << e[0]) & comp)
-
-
-def _join_components(g: SimpleGraph) -> SimpleGraph:
-    """Degree-preserving swaps until connected.
-
-    Each round takes the first edge ab of the first component and the
-    first edge cd of the second and rewires them into ac and bd.  The new
-    endpoints lie in different components, so the swap is always legal,
-    and it joins the two unless ab and cd are both bridges.  Rounds of
-    bridges keep the component count and may come back to a graph seen
-    before, from which they would repeat forever.  On such a repeat the
-    first edge that is not a bridge is swapped with the first edge of
-    another component instead, which joins two components.  With no
-    isolated vertex and epsilon >= phi - 1 edges some component has a
-    cycle, so such an edge exists.
-    """
-    seen = set()
-    while True:
-        comps = _component_masks(g)
-        if len(comps) <= 1:
-            return g
-        if g in seen:
-            i, first = next(
-                (i, e) for i, c in enumerate(comps) for e in g.edges()
-                if (1 << e[0]) & c and _component(remove_edge(g, *e)._adj, c) == c
-            )
-            second = _first_edge(g, comps[1 if i == 0 else 0])
-        else:
-            first = _first_edge(g, comps[0])
-            second = _first_edge(g, comps[1])
-        seen.add(g)
-        g = _swap(g, *first, *second)
 
 
 def realize_k_connected(
@@ -301,9 +281,10 @@ def realize_k_connected(
     enumeration.  Larger ones first get the certain negatives out of the
     way (not graphic, minimum term below k, too few vertices, fewer than
     phi - 1 edges), then run a degree-preserving local search: start from
-    a greedy realization, make it connected, and apply random 2-swaps
-    that never lower connectivity, up to 10*phi^2 attempts.  A failed
-    search is labeled "heuristic" -- it proves nothing.
+    a greedy realization that lays off the smallest degree first, which
+    is connected once the negatives are out of the way, and apply random
+    2-swaps that never lower connectivity, up to 10*phi^2 attempts.  A
+    failed search is labeled "heuristic" -- it proves nothing.
     """
     if k < 1:
         raise KOutOfRange(f"k must be >= 1, got {k}")
@@ -313,7 +294,8 @@ def realize_k_connected(
                 return RealizationResult(g, "exact")
         return RealizationResult(None, "exact")
 
-    # A connected graph on phi vertices needs phi - 1 edges.
+    # A connected graph on phi vertices needs phi - 1 edges; with that
+    # many, _havel_hakimi's graph is connected.
     if (
         not erdos_gallai_graphic(s)
         or s[-1] < k
@@ -322,13 +304,12 @@ def realize_k_connected(
     ):
         return RealizationResult(None, "exact")
 
-    g = _join_components(_havel_hakimi(s))
+    g = _havel_hakimi(s)
     rng = random.Random(8128)
-    cap = 10 * len(s) ** 2
     kappa = vertex_connectivity(g, upper_bound=k)
-    for _ in range(cap):
+    for _ in range(10 * len(s) ** 2):
         if kappa >= k:
-            return RealizationResult(g, "heuristic")
+            break
         edges = list(g.edges())
         (a, b), (c, d) = rng.sample(edges, 2)
         if len({a, b, c, d}) < 4:
@@ -342,6 +323,4 @@ def realize_k_connected(
         if new_kappa >= kappa:
             g = candidate
             kappa = new_kappa
-    if kappa >= k:
-        return RealizationResult(g, "heuristic")
-    return RealizationResult(None, "heuristic")
+    return RealizationResult(g if kappa >= k else None, "heuristic")

@@ -96,14 +96,6 @@ def min_separator(n: int, edges, a: int, b: int) -> int:
     raise AssertionError("adjacent vertices cannot be separated")
 
 
-def components(n: int, edges) -> set[frozenset[int]]:
-    """The vertex sets of the connected components."""
-    return {
-        frozenset(u for u in range(n) if _same_component(n, edges, set(), v, u))
-        for v in range(n)
-    }
-
-
 def _same_component(n: int, edges, removed, a: int, b: int) -> bool:
     adj = {v: set() for v in range(n) if v not in removed}
     for x, y in edges:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import kconnseq
 from kconnseq import cli, is_k_connected, parse_edge_list, read_edge_list
 from kconnseq.cli import main
-from test_edgelist import fuzz_text
+from test_edgelist import fuzz_text, loose_labels
 
 
 def run(capsys, *argv):
@@ -148,11 +148,19 @@ class TestCheck:
         assert code == 2
         assert "hard cap" in err or "10" in err
 
-    @pytest.mark.parametrize("seq", ["", "2,x", "2,0,2", "2,-1"])
+    @pytest.mark.parametrize(
+        "seq", ["", "2,x", "2,0,2", "2,-1", pytest.param("9" * 5000, id="too-long")]
+    )
     def test_malformed_sequence(self, capsys, seq):
         code, _, err = run(capsys, "check", "--seq", seq, "--k", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("seq", ["1_0,٣", "1_0", "٣,2"])
+    def test_sequence_digits_are_ascii(self, capsys, seq):
+        code, out, err = run(capsys, "check", "--seq", seq, "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: sequence must be comma-separated integers, got {seq!r}\n"
 
     def test_sequence_length_cap(self, capsys):
         code, _, err = run(capsys, "check", "--seq", ",".join(["1"] * 10_001), "--k", "1")
@@ -407,6 +415,13 @@ class TestConnectivity:
         assert code == 2
         assert "self-loop" in err and "line 2" in err
 
+    def test_labels_are_ascii_digits(self, capsys, tmp_path):
+        code, out, err = run(capsys, "connectivity", self.write(tmp_path, "٣ ٤\n"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: expected 'a b' with two decimal labels, got '٣ ٤' at line 1\n"
+        )
+
     def test_isolated_vertex_rejected(self, capsys, tmp_path):
         path = self.write(tmp_path, "# n=3\n0 1\n")
         code, _, err = run(capsys, "connectivity", path)
@@ -526,12 +541,16 @@ class TestFuzz:
         st.one_of(
             st.text(max_size=40),
             st.lists(st.integers(-1, 9).map(str), max_size=8).map(",".join),
+            st.lists(loose_labels, max_size=8).map(",".join),
         )
     )
     @settings(max_examples=100, deadline=None)
     def test_check_sequence(self, text):
         code, _, err = call_main(["check", "--seq", text, "--k", "2"])
         assert_clean_exit(code, err)
+        if code != 2:
+            assert "_" not in text
+            assert all(c in "0123456789" for c in text if c.isdecimal())
 
     @given(st.one_of(fuzz_text.map(str.encode), st.binary(max_size=200)))
     @settings(max_examples=100, deadline=None)

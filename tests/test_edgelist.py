@@ -16,11 +16,20 @@ from kconnseq import (
 
 import bruteforce
 
+# Labels that int() would take but the grammar does not: any Unicode
+# decimal digit, and "_" separators.
+loose_labels = st.text(
+    st.one_of(st.characters(categories=["Nd"]), st.sampled_from("0123456789_")),
+    min_size=1,
+    max_size=3,
+)
 # Lines that are often close to the grammar, so fuzzing reaches the
 # header, label and duplicate checks and not only the line pattern.
 _NEAR_LINES = st.one_of(
     st.builds("{} {}".format, st.integers(0, 12), st.integers(0, 12)),
     st.builds("# n={}".format, st.integers(0, 14)),
+    st.builds("{} {}".format, loose_labels, loose_labels),
+    st.builds("# n={}".format, loose_labels),
     st.sampled_from(["", "   ", "# note", "0  1", "0\t1", "1 x", "1 2 3", "-1 2"]),
     st.text(max_size=12),
 )
@@ -91,6 +100,14 @@ class TestParse:
             parse_edge_list("0 1\n" + text + "\n")
         assert str(exc.value) == "number too long at line 2"
 
+    @pytest.mark.parametrize("text", ["٣ ٤", "1_0 2", "0 1\n٠ 2"])
+    def test_labels_are_ascii_digits(self, text):
+        with pytest.raises(EdgeListParseError):
+            parse_edge_list(text + "\n")
+
+    def test_non_ascii_header_is_a_comment(self):
+        assert parse_edge_list("# n=٣\n0 1\n") == SimpleGraph(2, [(0, 1)])
+
     @given(fuzz_text)
     @settings(max_examples=200, deadline=None)
     def test_fuzzed_text_parses_or_raises_a_parse_error(self, text):
@@ -99,6 +116,9 @@ class TestParse:
         except (EdgeListParseError, TooLarge):
             return
         assert parse_edge_list(format_edge_list(g)) == g
+        for line in map(str.strip, text.splitlines()):
+            if not line.startswith("#"):
+                assert set(line) <= set("0123456789 ")
 
 
 class TestFormat:

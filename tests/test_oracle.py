@@ -119,7 +119,7 @@ class TestKappaRoutesAgree:
         rng = random.Random(seed)
         edges = bruteforce.random_edges(n, rng)
         g = SimpleGraph(n, edges)
-        adj = [g.neighbor_mask(v) for v in range(n)]
+        adj = list(g._adj)
         kappa = vertex_connectivity(g)
         for cap in range(0, n + 1):
             assert _kappa_capped(adj, n, cap) == min(kappa, cap)

@@ -11,7 +11,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kconnseq import (
@@ -20,6 +20,7 @@ from kconnseq import (
     NTooSmall,
     TargetOutOfRange,
     add_edge,
+    all_degree_sequences,
     augment_chain,
     base_k_regular,
     build_G1,
@@ -32,17 +33,13 @@ from kconnseq import (
     is_k_connected,
     is_maximally_non_k_connected,
     normalize,
+    oracle_verdict,
     realize_k_connected,
     vertex_connectivity,
     witness_sequence,
 )
 from kconnseq.graph_core import SimpleGraph, is_connected
-from kconnseq.realization import (
-    _component_masks,
-    _havel_hakimi,
-    _join_components,
-    _swap,
-)
+from kconnseq.realization import _havel_hakimi
 
 import bruteforce
 
@@ -284,8 +281,8 @@ class TestRealizeKConnected:
             assert not result.found and result.method == "exact"
 
     def test_tree_sequence_is_realized(self):
-        # Exactly phi - 1 edges: the greedy realization has cycles and
-        # extra components, and its first edges are all bridges.
+        # Exactly phi - 1 edges, the fewest a connected graph can have:
+        # the greedy start is already a tree.
         s = normalize([3] * 6 + [2] * 4 + [1] * 8)
         with time_limit(10):
             result = realize_k_connected(s, 1)
@@ -294,53 +291,36 @@ class TestRealizeKConnected:
         assert is_connected(result.graph)
 
 
-def _first_edge_join(g, rounds=1_000):
-    """The plain first-edge swap loop, cut off after ``rounds`` rounds."""
-    for _ in range(rounds):
-        comps = _component_masks(g)
-        if len(comps) <= 1:
-            return g
-        first = min(e for e in g.edges() if comps[0] >> e[0] & 1)
-        second = min(e for e in g.edges() if comps[1] >> e[0] & 1)
-        g = _swap(g, *first, *second)
-    return None
-
-
 @st.composite
-def joinable_graphs(draw):
-    """Graphs with no isolated vertex and at least n - 1 edges: greedy
-    realizations, or disjoint unions of small trees with a few extra
-    edges under a random labelling."""
-    if draw(st.booleans()):
-        raw = draw(st.lists(st.integers(1, 3), min_size=2, max_size=30))
-        s = normalize(raw)
-        assume(erdos_gallai_graphic(s) and s.degree_sum >= 2 * (len(s) - 1))
-        return _havel_hakimi(s)
-    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
-    label = draw(st.permutations(range(sum(sizes))))
-    edges = set()
-    start = 0
-    for size in sizes:
-        for v in range(1, size):
-            edges.add((start + draw(st.integers(0, v - 1)), start + v))
-        extra = st.lists(st.sampled_from(bruteforce.all_pairs(size)), max_size=3)
-        for a, b in draw(extra):
-            edges.add((start + a, start + b))
-        start += size
-    assume(len(edges) >= start - 1)
-    return SimpleGraph(start, [(label[a], label[b]) for a, b in edges])
+def connected_graphs(draw, max_n):
+    """A random tree on 2..max_n vertices plus up to n extra edges: its
+    degree sequence is graphic and sums to at least 2(phi - 1)."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    ends = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return SimpleGraph(n, edges)
 
 
-class TestJoinComponents:
-    @given(joinable_graphs())
-    @settings(max_examples=150, deadline=None)
-    def test_connected_with_the_same_degrees(self, g):
-        with time_limit(10):
-            joined = _join_components(g)
-        assert is_connected(joined)
-        assert [joined.degree(v) for v in range(g.n)] == [
-            g.degree(v) for v in range(g.n)
-        ]
-        # Where the plain first-edge swaps end, the result is theirs.
-        plain = _first_edge_join(g)
-        assert plain is None or plain == joined
+class TestConnectedByConstruction:
+    """The greedy start lays off the smallest degree first, which makes
+    it connected whenever any realization is."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_connected_iff_some_realization_is(self, n):
+        for s in all_degree_sequences(n):
+            if not erdos_gallai_graphic(s):
+                continue
+            g = _havel_hakimi(s)
+            assert degree_sequence(g) == s
+            assert is_connected(g) == oracle_verdict(s, 1).exists_k_connected, s
+
+    @given(connected_graphs(max_n=200))
+    @settings(max_examples=60, deadline=None)
+    def test_connected_when_a_connected_realization_exists(self, g):
+        s = degree_sequence(g)
+        h = _havel_hakimi(s)
+        assert degree_sequence(h) == s
+        assert bruteforce.is_connected(h.n, list(h.edges()))
