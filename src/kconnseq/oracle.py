@@ -5,6 +5,19 @@ all labeled realizations of a degree sequence, exact k-connectedness of
 each, extremal edge counts, and sweep audits that compare the arithmetic
 predicates of :mod:`kconnseq.sequence_core` against enumerated truth.
 
+The verdicts and the theorem audits weigh realizations by twin swaps
+instead of listing every labeled graph.  The backtracking enumerator
+completes one pivot's neighbourhood per step.  Two candidates with the
+same residual degree and the same neighbours so far are twins: they have
+no edges among themselves, so swapping them fixes the partial graph and
+every residual degree, and the completions of the two branches map one
+to one under that relabeling, with equal connectivity.  So only the
+branch that takes the lowest-labeled members of each twin class is
+walked, weighted by prod C(class size, members taken).  A realization
+count is the sum of these weights, exactly the labeled count; min and
+max connectivity come from the representatives alone.
+enumerate_realizations still lists every labeled graph.
+
 Connectivity is decided by brute-force vertex-subset removal -- a second,
 independent route from the max-flow computation in graph_core, so the two
 can cross-check each other in tests.
@@ -26,14 +39,15 @@ sorted, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import TooLarge
-from .graph_core import SimpleGraph, _bits, _component, complete_graph
+from .graph_core import SimpleGraph, _component, complete_graph
 from .sequence_core import (
     DegreeSequence,
     corollary_threshold,
@@ -67,13 +81,20 @@ HARD_ENUMERATION_CAP = 10
 # -- enumeration core --------------------------------------------------------
 
 
-def _enumerate_masks(terms: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Yield adjacency masks of every labeled graph realizing ``terms``.
+def _enumerate_masks(
+    terms: Sequence[int], twins: bool = False
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (adjacency masks, weight) of the labeled graphs realizing ``terms``.
 
     Backtracking: repeatedly take the vertex of largest residual degree
     (ties: lowest label) and branch over every way to complete its whole
     neighborhood among vertices that still need edges.  Each labeled graph
     arises from exactly one branch sequence, so there are no duplicates.
+
+    Without ``twins`` every labeled graph comes once, with weight 1.  With
+    ``twins`` only one branch per orbit of twin swaps is taken (see
+    _twin_branches), and the weight is the number of labeled graphs the
+    yielded one stands for.  The yielded graphs keep their labeled order.
     """
     n = len(terms)
     if sum(terms) % 2 == 1:
@@ -83,7 +104,7 @@ def _enumerate_masks(terms: Sequence[int]) -> Iterator[tuple[int, ...]]:
     adj = [0] * n
     residual = list(terms)
 
-    def rec() -> Iterator[tuple[int, ...]]:
+    def rec(weight: int) -> Iterator[tuple[tuple[int, ...], int]]:
         pivot = -1
         best = 0
         for v in range(n):
@@ -91,7 +112,7 @@ def _enumerate_masks(terms: Sequence[int]) -> Iterator[tuple[int, ...]]:
                 best = residual[v]
                 pivot = v
         if pivot < 0:
-            yield tuple(adj)
+            yield tuple(adj), weight
             return
         row = adj[pivot]
         cands = [
@@ -103,19 +124,68 @@ def _enumerate_masks(terms: Sequence[int]) -> Iterator[tuple[int, ...]]:
         if len(cands) < need:
             return
         residual[pivot] = 0
-        for chosen in combinations(cands, need):
+        if twins:
+            branches = _twin_branches(cands, need, residual, adj)
+        else:
+            branches = ((chosen, 1) for chosen in combinations(cands, need))
+        for chosen, orbit in branches:
             for u in chosen:
                 adj[pivot] |= 1 << u
                 adj[u] |= 1 << pivot
                 residual[u] -= 1
-            yield from rec()
+            yield from rec(weight * orbit)
             for u in chosen:
                 adj[pivot] &= ~(1 << u)
                 adj[u] &= ~(1 << pivot)
                 residual[u] += 1
         residual[pivot] = need
 
-    yield from rec()
+    yield from rec(1)
+
+
+def _twin_branches(
+    cands: list[int], need: int, residual: list[int], adj: list[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The choices of ``need`` candidates that take the lowest-labeled
+    members of each twin class, each with the size of its orbit.
+
+    Two candidates are twins when they have the same residual degree and
+    the same neighborhood so far.  Candidates have no edges among
+    themselves (edges so far all touch earlier pivots), so swapping two
+    twins fixes the partial graph and every residual degree: branches
+    that differ by twin swaps have completions that map one to one under
+    a relabeling, with the same connectivity.  A choice taking t_i of the
+    m_i members of each class i stands for prod C(m_i, t_i) branches.
+    The choices come in the order of combinations(cands, need), and each
+    skipped branch is a twin swap of a taken one that comes earlier.
+    """
+    prev_bit = {}
+    cls = {}
+    sizes: list[int] = []
+    classes: dict[tuple[int, int], int] = {}
+    last: dict[tuple[int, int], int] = {}
+    for u in cands:
+        key = (residual[u], adj[u])
+        if key not in classes:
+            classes[key] = len(sizes)
+            sizes.append(0)
+        cls[u] = classes[key]
+        sizes[cls[u]] += 1
+        prev_bit[u] = 1 << last[key] if key in last else 0
+        last[key] = u
+    for chosen in combinations(cands, need):
+        taken = [0] * len(sizes)
+        mask = 0
+        for u in chosen:
+            if prev_bit[u] & ~mask:
+                break
+            mask |= 1 << u
+            taken[cls[u]] += 1
+        else:
+            orbit = 1
+            for m, t in zip(sizes, taken):
+                orbit *= comb(m, t)
+            yield chosen, orbit
 
 
 _REMOVAL_MASKS: dict[tuple[int, int], list[int]] = {}
@@ -132,17 +202,15 @@ def _removal_masks(n: int, size: int) -> list[int]:
     return masks
 
 
-def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
-    """min(vertex connectivity, cap), by trying every small removal set.
+def _first_separator(adj: Sequence[int], n: int, cap: int) -> int | None:
+    """The first vertex set whose removal disconnects the graph, as a mask.
 
-    Independent of the flow-based computation in graph_core: searches
-    removal subsets of size 1, 2, ... directly, and asks graph_core only
-    whether what survives is connected.  No subset up to size n - 2
-    disconnecting the graph means the graph is complete, where
-    connectivity is n - 1 by convention.
+    Sets are tried by size, from 0 (the graph itself) up to
+    min(cap, n - 1) - 1, and within a size in the order of
+    _removal_masks, which is also the order of _separators.  Only
+    graph_core's connectivity test is used, never a flow.  None when no
+    such set is small enough.
     """
-    if n <= 1:
-        return 0
     full = (1 << n) - 1
     if _component(adj, full) != full:
         return 0
@@ -150,8 +218,22 @@ def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
         for rm in _removal_masks(n, size):
             live = full & ~rm
             if _component(adj, live) != live:
-                return size
-    return min(cap, n - 1)
+                return rm
+    return None
+
+
+def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
+    """min(vertex connectivity, cap), by trying every small removal set.
+
+    Independent of the flow-based computation in graph_core: searches
+    removal subsets of size 0, 1, 2, ... directly (_first_separator).  No
+    subset up to size n - 2 disconnecting the graph means the graph is
+    complete, where connectivity is n - 1 by convention.
+    """
+    if n <= 1:
+        return 0
+    rm = _first_separator(adj, n, cap)
+    return min(cap, n - 1) if rm is None else rm.bit_count()
 
 
 def _separators(n: int, k: int) -> list[int]:
@@ -223,6 +305,24 @@ def _violation(adj: Sequence[int], n: int, k: int, enforce: bool) -> int | None:
     return kap if kap < k else None
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while building a large report.
+
+    The entries of a big corollary audit are about two million small
+    lists with no reference cycles.  The collector's passes over them
+    took most of the time of audit_corollary(8, 2, False).  Reference
+    counting still frees everything; the previous state is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _map(fn, tasks: list, jobs: int | None, chunksize: int = 1) -> list:
     """fn over tasks in submission order; a process pool when jobs > 1.
 
@@ -231,6 +331,8 @@ def _map(fn, tasks: list, jobs: int | None, chunksize: int = 1) -> list:
     """
     if jobs is None or jobs <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         results = list(pool.map(fn, tasks, chunksize=chunksize))
@@ -255,7 +357,8 @@ def enumerate_realizations(
     if len(s) > limit:
         raise TooLarge(f"phi = {len(s)} exceeds enumeration limit {limit}")
     return (
-        SimpleGraph._from_masks(len(s), masks) for masks in _enumerate_masks(s.terms)
+        SimpleGraph._from_masks(len(s), masks)
+        for masks, _ in _enumerate_masks(s.terms)
     )
 
 
@@ -298,8 +401,11 @@ def oracle_verdict(
 ) -> SequenceVerdict:
     """Exact existential and universal k-connectedness of s's realizations.
 
-    Enumerates every labeled realization (the count is part of the
-    verdict); connectivity checks stop once both booleans are settled.
+    realization_count is the number of labeled realizations, computed as
+    a weighted sum over twin-orbit representatives (see the module
+    docstring): swapping twins relabels a realization without changing
+    its connectivity, so each representative stands for its whole orbit.
+    Connectivity checks stop once both booleans are settled.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -309,8 +415,8 @@ def oracle_verdict(
     count = 0
     exists = False
     all_k = True
-    for adj in _enumerate_masks(s.terms):
-        count += 1
+    for adj, weight in _enumerate_masks(s.terms, twins=True):
+        count += weight
         if not exists or all_k:
             if _kappa_capped(adj, n, k) >= k:
                 exists = True
@@ -380,20 +486,21 @@ def _profile_worker(args: tuple[tuple[int, ...], int]) -> tuple[int, int, int]:
     """(realization count, min kappa-hat, max kappa-hat) for one sequence.
 
     kappa-hat is connectivity capped at k_max; min/max are 0 when no
-    realization exists.
+    realization exists.  The count is the weighted sum over twin-orbit
+    representatives, and kappa-hat is read from the representatives.
     """
     terms, k_cap = args
     n = len(terms)
     count = 0
     lo = hi = 0
-    for adj in _enumerate_masks(terms):
+    for adj, weight in _enumerate_masks(terms, twins=True):
         kap = _kappa_capped(adj, n, k_cap)
         if count == 0:
             lo = hi = kap
         else:
             lo = min(lo, kap)
             hi = max(hi, kap)
-        count += 1
+        count += weight
     return count, lo, hi
 
 
@@ -561,20 +668,27 @@ def audit_theorem2(
 
 
 def _corollary_worker(args: tuple[int, int, int, bool, int]) -> list[tuple]:
-    """(edge mask, kappa-hat, degrees) of each distinct violator with at
-    least lo edges among the graphs the vertex set ``removed`` separates.
+    """(edge mask, kappa-hat, degrees) of each violator with at least lo
+    edges whose first separator (see _first_separator) is ``removed``.
+
+    A violator lies in the family of every set that separates it, but
+    only the shard of its first separator keeps it, so the shards never
+    overlap and the parent has nothing to dedupe.
     """
     n, k, lo, enforce, removed = args
-    found: dict[int, tuple[int, list[int]]] = {}
+    seen: set[int] = set()
+    found = []
     for m in range(lo, comb(n, 2) + 1):
         for mask, adj in _separated_graphs(n, removed, m, k if enforce else 0):
-            if mask in found:
+            if mask in seen:
                 continue
-            kap = _violation(adj, n, k, enforce)
-            if kap is not None:
+            seen.add(mask)
+            if enforce and any(row.bit_count() < k for row in adj):
+                continue
+            if _first_separator(adj, n, k) == removed:
                 degs = sorted((row.bit_count() for row in adj), reverse=True)
-                found[mask] = (kap, degs)
-    return [(mask, kap, degs) for mask, (kap, degs) in found.items()]
+                found.append((mask, removed.bit_count(), degs))
+    return found
 
 
 def _corollary_violators(
@@ -583,10 +697,11 @@ def _corollary_violators(
     """Edge mask -> (kappa-hat, degrees) of every graph with at least lo
     edges that is in scope and not k-connected (see audit_corollary)."""
     tasks = [(n, k, lo, enforce, rm) for rm in _separators(n, k)]
-    found: dict[int, tuple[int, list[int]]] = {}
-    for shard in _map(_corollary_worker, tasks, jobs):
-        for mask, kap, degs in shard:
-            found.setdefault(mask, (kap, degs))
+    found = {
+        mask: (kap, degs)
+        for shard in _map(_corollary_worker, tasks, jobs)
+        for mask, kap, degs in shard
+    }
     max_edges = comb(n, 2)
     if n - 1 < k and max_edges >= lo:
         kap = _violation(complete_graph(n)._adj, n, k, enforce)
@@ -617,8 +732,9 @@ def audit_corollary(
     every S and every split of V - S into such A and B, and takes every
     graph above the threshold with no A-B edge, plus K_n when n - 1 < k.
     Each one passes the min-degree filter and removal-set kappa before it
-    becomes an entry, and duplicates are dropped by edge mask.  With
-    jobs > 1 there is one task per removal set S.
+    becomes an entry.  A graph that several sets S separate is kept only
+    for the first of them, the set removal-set kappa finds, so there is
+    one task per removal set S and the tasks never overlap.
 
     ``graphs_checked`` (and ``universe.graph_count``) is the number of
     labeled graphs the claim covers, sum of C(C(n,2), m) over m from the
@@ -633,21 +749,28 @@ def audit_corollary(
     max_edges = comb(n, 2)
     found = _corollary_violators(n, k, threshold, enforce_min_degree, jobs)
     pairs = list(combinations(range(n), 2))
-    entries = []
-    for mask, (kap, degs) in found.items():
-        entries.append(
+    width = len(pairs)
+
+    def order(mask: int) -> tuple[int, int]:
+        # Equal-length edge lists compare at their lowest differing pair,
+        # and the list holding it sorts first.  Reversing the mask's bits
+        # makes that pair the most significant bit.
+        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+
+    with _collector_paused():
+        entries = [
             {
                 "theorem": "corollary",
                 "k": k,
                 "edge_count": mask.bit_count(),
-                "edges": [list(pairs[i]) for i in _bits(mask)],
-                "degree_sequence": degs,
+                "edges": [list(p) for i, p in enumerate(pairs) if mask >> i & 1],
+                "degree_sequence": found[mask][1],
                 "claimed": True,
                 "observed": False,
-                "connectivity": kap,
+                "connectivity": found[mask][0],
             }
-        )
-    entries.sort(key=lambda e: (e["edge_count"], e["edges"]))
+            for mask in sorted(found, key=order)
+        ]
     graphs_checked = sum(comb(max_edges, m) for m in range(threshold, max_edges + 1))
     universe = {
         "n": n,

@@ -48,7 +48,7 @@ from .graph_core import (
     remove_edge,
     vertex_connectivity,
 )
-from .oracle import DEFAULT_ENUMERATION_LIMIT, enumerate_realizations
+from .oracle import DEFAULT_ENUMERATION_LIMIT, _enumerate_masks
 from .sequence_core import DegreeSequence, erdos_gallai_graphic
 
 __all__ = [
@@ -278,7 +278,8 @@ def realize_k_connected(
     """Find a k-connected graph with degree sequence s, best effort.
 
     Small sequences (phi <= oracle_limit) are settled exactly by
-    enumeration.  Larger ones first get the certain negatives out of the
+    enumeration: the first k-connected realization in labeled order,
+    found among the twin-orbit representatives (see oracle).  Larger ones first get the certain negatives out of the
     way (not graphic, minimum term below k, too few vertices, fewer than
     phi - 1 edges), then run a degree-preserving local search: start from
     a greedy realization that lays off the smallest degree first, which
@@ -289,7 +290,8 @@ def realize_k_connected(
     if k < 1:
         raise KOutOfRange(f"k must be >= 1, got {k}")
     if len(s) <= oracle_limit:
-        for g in enumerate_realizations(s, limit=oracle_limit):
+        for masks, _ in _enumerate_masks(s.terms, twins=True):
+            g = SimpleGraph._from_masks(len(s), masks)
             if is_k_connected(g, k):
                 return RealizationResult(g, "exact")
         return RealizationResult(None, "exact")

@@ -153,7 +153,7 @@ def test_criterion_6_frozen_audits(golden_dir):
     start = time.perf_counter()
     golden_names = sorted(p.name for p in golden_dir.glob("*.json"))
     expected = sorted(
-        [f"theorem{t}_n{n}_kmax3.json" for t in (1, 2) for n in range(2, 7)]
+        [f"theorem{t}_n{n}_kmax3.json" for t in (1, 2) for n in range(2, 8)]
         + [
             f"corollary_n{n}_k{k}_{regime}.json"
             for n in range(2, 7)

@@ -504,7 +504,7 @@ class TestAbnormalEnds:
         assert "Traceback" not in err
 
     def test_interrupted_parallel_audit(self, capsys, monkeypatch):
-        from kconnseq import oracle
+        import concurrent.futures
 
         shutdowns = []
 
@@ -518,7 +518,7 @@ class TestAbnormalEnds:
             def shutdown(self, wait=True, *, cancel_futures=False):
                 shutdowns.append((wait, cancel_futures))
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         code, out, err = run_guarded(
             capsys, "audit", "--theorem", "1", "--n", "4", "--jobs", "2"
         )

@@ -12,13 +12,14 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kconnseq import (
     DEFAULT_ENUMERATION_LIMIT,
     SimpleGraph,
     TooLarge,
+    all_degree_sequences,
     audit_corollary,
     audit_theorem1,
     audit_theorem2,
@@ -106,6 +107,55 @@ class TestOracleVerdict:
         jsonschema.validate(v.to_json_dict(), load_schema("sequence_verdict"))
 
 
+def labeled_profile(s, cap):
+    """(count, min kappa-hat, max kappa-hat) over the labeled stream."""
+    from kconnseq.oracle import _kappa_capped
+
+    kappas = [_kappa_capped(g._adj, len(s), cap) for g in enumerate_realizations(s)]
+    if not kappas:
+        return 0, 0, 0
+    return len(kappas), min(kappas), max(kappas)
+
+
+class TestTwinOrbits:
+    """The twin cut weighs representatives instead of listing every
+    labeled graph; the labeled stream is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_weighted_profile_matches_labeled_stream(self, n):
+        from kconnseq.oracle import _profile_worker
+
+        for s in all_degree_sequences(n):
+            assert _profile_worker((s.terms, n)) == labeled_profile(s, n), s
+
+    def test_twin_cut_prunes(self):
+        from kconnseq.oracle import _enumerate_masks
+
+        reps = list(_enumerate_masks((2,) * 6, twins=True))
+        assert sum(w for _, w in reps) == 70
+        assert len(reps) < 70
+
+    @given(st.integers(0, 2**28 - 1), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_matches_labeled_stream(self, edge_mask, k):
+        # The degrees of a graph's non-isolated vertices (bit i of the mask
+        # is the i-th pair of 0..7): graphic, and with phi terms in
+        # 1..phi-1, some term repeats.
+        degrees = [0] * 8
+        for i, (a, b) in enumerate(combinations(range(8), 2)):
+            if edge_mask >> i & 1:
+                degrees[a] += 1
+                degrees[b] += 1
+        assume(any(degrees))
+        s = normalize([d for d in degrees if d])
+        assert len(set(s.terms)) < len(s)
+        count, lo, hi = labeled_profile(s, k)
+        v = oracle_verdict(s, k)
+        assert v.realization_count == count
+        assert v.exists_k_connected == (hi >= k)
+        assert v.all_k_connected == (lo >= k)
+
+
 class TestKappaRoutesAgree:
     """Removal-subset connectivity (oracle) vs max-flow (graph_core)."""
 
@@ -143,6 +193,14 @@ class TestAuditTheorem1:
     def test_rejects_oversized_n(self):
         with pytest.raises(TooLarge):
             audit_theorem1(DEFAULT_ENUMERATION_LIMIT + 1, 1)
+
+    def test_n8_audit_is_quick(self):
+        # 585,786 labeled realizations over 3,003 sequences, weighed by
+        # twin orbits; the labeled engine took about 20 s here.
+        start = time.perf_counter()
+        report = audit_theorem1(8, 3)
+        assert time.perf_counter() - start < 10.0
+        assert report.summary == {"comparisons": 9009, "discrepancies": 880}
 
 
 class TestAuditTheorem2:
@@ -228,7 +286,8 @@ class TestAuditCorollary:
     def test_min_degree_sweep_below_the_threshold(self, n):
         # Above the threshold the min-degree regime has no violators, so
         # its family pruning only shows from a lower starting count.
-        from kconnseq.oracle import _bits, _corollary_violators
+        from kconnseq.graph_core import _bits
+        from kconnseq.oracle import _corollary_violators
 
         pairs = bruteforce.all_pairs(n)
         seen = 0
@@ -273,7 +332,7 @@ class TestAuditCorollary:
 
         schema = load_schema("discrepancy_report")
         goldens = sorted(golden_dir.glob("*.json"))
-        assert len(goldens) == 31
+        assert len(goldens) == 33
         for path in goldens:
             jsonschema.validate(json.loads(path.read_text()), schema)
 

@@ -272,6 +272,25 @@ class TestRealizeKConnected:
         with pytest.raises(KOutOfRange):
             realize_k_connected(normalize([2, 2, 2]), 0)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exact_branch_returns_first_labeled_realization(self, n):
+        # The twin cut keeps the labeled order, and the first k-connected
+        # labeled graph is always a representative.
+        for s in all_degree_sequences(n):
+            for k in (1, 2, 3):
+                first = next(
+                    (g for g in enumerate_realizations(s) if is_k_connected(g, k)),
+                    None,
+                )
+                assert realize_k_connected(s, k).graph == first, (s, k)
+
+    def test_exact_negative_on_eight_vertices(self):
+        # 4^8 has thousands of labeled 4-regular realizations, none
+        # 5-connected (kappa <= min degree).
+        with time_limit(10):
+            result = realize_k_connected(normalize([4] * 8), 5)
+        assert (result.graph, result.method) == (None, "exact")
+
     def test_exact_negative_too_few_edges_for_a_tree(self):
         # Above the oracle limit, with fewer than phi - 1 edges: no
         # connected realization, settled without any search.

@@ -21,7 +21,7 @@ from kconnseq.oracle import audit_corollary, audit_theorem1, audit_theorem2
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
-THEOREM_SIZES = range(2, 7)
+THEOREM_SIZES = range(2, 8)
 THEOREM_KMAX = 3
 COROLLARY_CASES = [
     (n, k, enforce)
