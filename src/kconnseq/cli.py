@@ -289,11 +289,7 @@ def cmd_witness(args) -> int:
         "n": args.n,
         "k": args.k,
         "sequence": list(s.terms),
-        "epsilon": {
-            "numerator": pair.epsilon.numerator,
-            "denominator": pair.epsilon.denominator,
-            "integral": pair.epsilon_integral,
-        },
+        "epsilon": pair.to_json_dict()["epsilon"],
         "g1": {
             "path": path1,
             "edge_count": g1.edge_count,
@@ -335,8 +331,8 @@ def cmd_audit(args) -> int:
         audit = audit_theorem1 if args.theorem == "1" else audit_theorem2
         report = audit(args.n, args.kmax, limit=limit, jobs=jobs)
 
-    payload = report.to_json_dict()
-    text = canonical_json(payload)
+    if args.output or args.format == "json":
+        text = canonical_json(report.to_json_dict())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

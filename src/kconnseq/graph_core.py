@@ -301,17 +301,14 @@ def _vertex_capacity_max_flow(base: list[int], a: int, b: int, cap: int | None) 
 def internally_disjoint_path_count(g: SimpleGraph, a: int, b: int) -> int:
     """Maximum number of a-b paths sharing no internal vertices.
 
-    Endpoints may be adjacent; the direct edge counts as one path.
+    Endpoints may be adjacent: the arc a_out -> b_in of the split digraph
+    carries the direct edge as one path, which no separator can cut.
     """
     g._check_vertex(a)
     g._check_vertex(b)
     if a == b:
         raise SameVertex(f"endpoints must differ, got {a} twice")
-    if not g.has_edge(a, b):
-        return _vertex_capacity_max_flow(_split_digraph(g), a, b, cap=None)
-    # Adjacent endpoints: the edge itself is one path no separator can cut.
-    base = _split_digraph(remove_edge(g, a, b))
-    return 1 + _vertex_capacity_max_flow(base, a, b, cap=None)
+    return _vertex_capacity_max_flow(_split_digraph(g), a, b, cap=None)
 
 
 def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> int:

@@ -39,15 +39,13 @@ sorted, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import TooLarge
-from .graph_core import SimpleGraph, _component, complete_graph
+from .graph_core import SimpleGraph, _bits, _component, complete_graph
 from .sequence_core import (
     DegreeSequence,
     corollary_threshold,
@@ -188,37 +186,40 @@ def _twin_branches(
             yield chosen, orbit
 
 
-_REMOVAL_MASKS: dict[tuple[int, int], list[int]] = {}
+_SEPARATORS: dict[tuple[int, int], list[int]] = {}
 
 
-def _removal_masks(n: int, size: int) -> list[int]:
-    key = (n, size)
-    masks = _REMOVAL_MASKS.get(key)
+def _separators(n: int, k: int) -> list[int]:
+    """Every vertex set of at most min(k - 1, n - 2) vertices, as masks.
+
+    Ordered by size, then within a size as combinations(range(n), size)
+    lists them; the empty set comes first.
+    """
+    top = min(k - 1, n - 2)
+    masks = _SEPARATORS.get((n, top))
     if masks is None:
         masks = [
-            sum(1 << v for v in subset) for subset in combinations(range(n), size)
+            sum(1 << v for v in subset)
+            for size in range(top + 1)
+            for subset in combinations(range(n), size)
         ]
-        _REMOVAL_MASKS[key] = masks
+        _SEPARATORS[n, top] = masks
     return masks
 
 
 def _first_separator(adj: Sequence[int], n: int, cap: int) -> int | None:
     """The first vertex set whose removal disconnects the graph, as a mask.
 
-    Sets are tried by size, from 0 (the graph itself) up to
-    min(cap, n - 1) - 1, and within a size in the order of
-    _removal_masks, which is also the order of _separators.  Only
-    graph_core's connectivity test is used, never a flow.  None when no
-    such set is small enough.
+    Sets are tried in the order of _separators(n, cap): by size, from 0
+    (the graph itself) up to min(cap, n - 1) - 1.  Only graph_core's
+    connectivity test is used, never a flow.  None when no such set is
+    small enough.
     """
     full = (1 << n) - 1
-    if _component(adj, full) != full:
-        return 0
-    for size in range(1, min(cap, n - 1)):
-        for rm in _removal_masks(n, size):
-            live = full & ~rm
-            if _component(adj, live) != live:
-                return rm
+    for rm in _separators(n, cap):
+        live = full & ~rm
+        if _component(adj, live) != live:
+            return rm
     return None
 
 
@@ -234,12 +235,6 @@ def _kappa_capped(adj: Sequence[int], n: int, cap: int) -> int:
         return 0
     rm = _first_separator(adj, n, cap)
     return min(cap, n - 1) if rm is None else rm.bit_count()
-
-
-def _separators(n: int, k: int) -> list[int]:
-    """Every vertex set of at most min(k - 1, n - 2) vertices, as masks."""
-    sizes = range(min(k - 1, n - 2) + 1)
-    return [rm for size in sizes for rm in _removal_masks(n, size)]
 
 
 def _separated_graphs(
@@ -303,24 +298,6 @@ def _violation(adj: Sequence[int], n: int, k: int, enforce: bool) -> int | None:
         return None
     kap = _kappa_capped(adj, n, k)
     return kap if kap < k else None
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while building a large report.
-
-    The entries of a big corollary audit are about two million small
-    lists with no reference cycles.  The collector's passes over them
-    took most of the time of audit_corollary(8, 2, False).  Reference
-    counting still frees everything; the previous state is restored.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _map(fn, tasks: list, jobs: int | None, chunksize: int = 1) -> list:
@@ -534,6 +511,10 @@ class DiscrepancyReport:
     k; violating graphs sort by edge count then edge list).  ``boundary``
     is only present for the necessity audit: sequences sitting exactly at
     the edge-count bound, recorded whether or not they agree.
+
+    Entries are read-only.  The [a, b] pair lists in a corollary entry's
+    ``edges`` are shared by every entry holding that edge, and
+    to_json_dict copies entries only one level deep.
     """
 
     subject: str
@@ -748,29 +729,27 @@ def audit_corollary(
     threshold = corollary_threshold(n, k)
     max_edges = comb(n, 2)
     found = _corollary_violators(n, k, threshold, enforce_min_degree, jobs)
-    pairs = list(combinations(range(n), 2))
-    width = len(pairs)
+    edge_lists = [[a, b] for a, b in combinations(range(n), 2)]
 
     def order(mask: int) -> tuple[int, int]:
         # Equal-length edge lists compare at their lowest differing pair,
         # and the list holding it sorts first.  Reversing the mask's bits
         # makes that pair the most significant bit.
-        return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+        return mask.bit_count(), -int(f"{mask:0{max_edges}b}"[::-1], 2)
 
-    with _collector_paused():
-        entries = [
-            {
-                "theorem": "corollary",
-                "k": k,
-                "edge_count": mask.bit_count(),
-                "edges": [list(p) for i, p in enumerate(pairs) if mask >> i & 1],
-                "degree_sequence": found[mask][1],
-                "claimed": True,
-                "observed": False,
-                "connectivity": found[mask][0],
-            }
-            for mask in sorted(found, key=order)
-        ]
+    entries = [
+        {
+            "theorem": "corollary",
+            "k": k,
+            "edge_count": mask.bit_count(),
+            "edges": [edge_lists[i] for i in _bits(mask)],
+            "degree_sequence": found[mask][1],
+            "claimed": True,
+            "observed": False,
+            "connectivity": found[mask][0],
+        }
+        for mask in sorted(found, key=order)
+    ]
     graphs_checked = sum(comb(max_edges, m) for m in range(threshold, max_edges + 1))
     universe = {
         "n": n,

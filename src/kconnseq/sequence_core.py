@@ -179,11 +179,6 @@ class ConditionReport:
         }
 
 
-def _choose2(m: int) -> int:
-    # C(m, 2) extended to m < 2 (witness bound at tiny phi).
-    return m * (m - 1) // 2 if m >= 2 else 0
-
-
 def _theorem1_parts(s: DegreeSequence, k: int):
     """Validate k; return theorem 1's pair, four checks and thresholds."""
     if k < 1:
@@ -243,7 +238,7 @@ def theorem2_check(s: DegreeSequence, k: int) -> ConditionReport:
     bound epsilon > C(phi-2, 2) + 2k - 1.
     """
     pair, checks, thresholds = _theorem1_parts(s, k)
-    bound = _choose2(pair.phi - 2) + 2 * k - 1
+    bound = comb(max(pair.phi - 2, 0), 2) + 2 * k - 1
     over = pair.degree_sum > 2 * bound
     extra = ConditionCheck(
         "epsilon_exceeds_bound",

@@ -359,6 +359,19 @@ class TestAudit:
         assert code == 3
         assert "more entries" in out
 
+    def test_text_mode_without_output_skips_the_json(self, capsys, monkeypatch):
+        argv = (
+            "audit", "--theorem", "corollary", "--n", "5", "--k", "1",
+            "--no-min-degree",
+        )
+        code, out, _ = run(capsys, *argv)
+
+        def refuse(payload):
+            raise AssertionError("text mode encoded the report")
+
+        monkeypatch.setattr(cli, "canonical_json", refuse)
+        assert run(capsys, *argv)[:2] == (code, out)
+
     def test_json_payload_validates(self, capsys, load_schema):
         code, out, _ = run(
             capsys,
