@@ -254,6 +254,7 @@ def cmd_realize(args) -> int:
 
     if args.n is None or args.epsilon is None:
         raise KconnseqError("chain mode needs both --n and --epsilon")
+    _check_range("--n", args.n, MAX_VERTICES)
     try:
         steps = augment_chain(args.n, args.k, args.epsilon)
     except AugmentationStuck as exc:
@@ -270,6 +271,7 @@ def cmd_realize(args) -> int:
 
 def cmd_witness(args) -> int:
     _check_range("--k", args.k)
+    _check_range("--n", args.n, MAX_VERTICES)
     s = witness_sequence(args.n, args.k)  # NTooSmall -> exit 2
     g1 = build_G1(args.n, args.k)
     g2 = build_G2(args.n, args.k)

@@ -39,10 +39,9 @@ sorted, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TooLarge
 from .graph_core import SimpleGraph, _bits, _component, complete_graph
@@ -346,8 +345,7 @@ def oracle_graphic(s: DegreeSequence, *, limit: int = DEFAULT_ENUMERATION_LIMIT)
     return False
 
 
-@dataclass(frozen=True)
-class SequenceVerdict:
+class SequenceVerdict(NamedTuple):
     """Enumerated truth about one (sequence, k) pair.
 
     all_k_connected is None ("not applicable") exactly when the sequence
@@ -502,8 +500,7 @@ def _universe_dict(n: int, k_max: int, sequence_count: int) -> dict:
     return {"n": n, "k_max": k_max, "sequence_count": sequence_count}
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Outcome of sweeping one predicate against enumerated truth.
 
     ``entries`` lists exactly the comparisons where the predicate and the

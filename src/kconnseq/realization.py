@@ -28,8 +28,8 @@ suite (TestBaseKRegular, TestWitnessGraphs, acceptance criterion 2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     AugmentationStuck,
@@ -94,8 +94,7 @@ def base_k_regular(n: int, k: int) -> SimpleGraph:
     return SimpleGraph._from_masks(n, adj)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One row of an augmentation chain: a graph, its sequence, its size."""
 
     sequence: DegreeSequence
@@ -208,8 +207,7 @@ def is_maximally_non_k_connected(g: SimpleGraph, k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(NamedTuple):
     """Outcome of realize_k_connected.
 
     method is "exact" when the answer is certain (full enumeration, or a

@@ -20,12 +20,14 @@ enumeration and report every disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import total_ordering
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import EmptySequence, NonPositiveTerm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DegreeSequence",
@@ -41,22 +43,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class DegreeSequence:
-    """A non-increasing sequence of positive integer degrees."""
+    """A non-increasing sequence of positive integer degrees.
 
-    terms: tuple[int, ...]
+    Read-only.  It equals, hashes and orders by ``terms``, and equals
+    only another DegreeSequence, never a plain tuple.
+    """
 
-    def __post_init__(self):
-        if not self.terms:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[int, ...]):
+        if not terms:
             raise EmptySequence("degree sequence must be non-empty")
-        for t in self.terms:
+        for t in terms:
             if not isinstance(t, int):
                 raise TypeError(f"degree terms must be integers, got {t!r}")
             if t <= 0:
                 raise NonPositiveTerm(f"degree terms must be positive, got {t}")
-        if any(a < b for a, b in zip(self.terms, self.terms[1:])):
+        if any(a < b for a, b in zip(terms, terms[1:])):
             raise ValueError("terms must be non-increasing; use normalize()")
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DegreeSequence is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DegreeSequence is immutable")
+
+    def __reduce__(self):
+        return DegreeSequence, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"DegreeSequence(terms={self.terms!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms < other.terms
 
     @property
     def phi(self) -> int:
@@ -90,8 +122,7 @@ def normalize(raw: Iterable[int]) -> DegreeSequence:
     return DegreeSequence(tuple(sorted(raw, reverse=True)))
 
 
-@dataclass(frozen=True)
-class AssociatedPair:
+class AssociatedPair(NamedTuple):
     """The pair (phi, epsilon) = (length, half the term sum).
 
     epsilon is kept exact: ``degree_sum`` is the integer 2*epsilon, and
@@ -104,6 +135,8 @@ class AssociatedPair:
 
     @property
     def epsilon(self) -> Fraction:
+        from fractions import Fraction  # fractions imports decimal: load on use
+
         return Fraction(self.degree_sum, 2)
 
     @property
@@ -116,12 +149,16 @@ class AssociatedPair:
         return f"{self.degree_sum}/2"
 
     def to_json_dict(self) -> dict:
-        eps = self.epsilon
+        # epsilon = degree_sum / 2, in lowest terms.
+        if self.epsilon_integral:
+            numerator, denominator = self.degree_sum // 2, 1
+        else:
+            numerator, denominator = self.degree_sum, 2
         return {
             "phi": self.phi,
             "epsilon": {
-                "numerator": eps.numerator,
-                "denominator": eps.denominator,
+                "numerator": numerator,
+                "denominator": denominator,
                 "integral": self.epsilon_integral,
             },
         }
@@ -138,8 +175,7 @@ class ConditionCheck(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Per-condition verdicts for one predicate evaluation.
 
     ``verdict`` is the conjunction of all listed checks; the checks appear

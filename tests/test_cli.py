@@ -22,6 +22,7 @@ import kconnseq
 from kconnseq import cli, is_k_connected, parse_edge_list, read_edge_list
 from kconnseq.cli import main
 from test_edgelist import fuzz_text, loose_labels
+from test_realization import time_limit
 
 
 def run(capsys, *argv):
@@ -30,15 +31,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=30):
-    """``python -m kconnseq.cli`` in a fresh interpreter."""
+def fresh_python(*argv, timeout=30):
+    """Run a fresh interpreter that imports this checkout's kconnseq."""
     src = str(Path(kconnseq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kconnseq.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv, timeout=30):
+    """``python -m kconnseq.cli`` in a fresh interpreter."""
+    return fresh_python("-m", "kconnseq.cli", *argv, timeout=timeout)
+
+
+def test_import_stays_lean():
+    """Importing the CLI loads no heavy stdlib module a bare start skips.
+
+    dataclasses pulls in inspect, and fractions pulls in decimal; every
+    CLI process would pay for them at start-up.
+    """
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    report = f"import sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    bare = fresh_python("-c", report)
+    cli_import = fresh_python("-c", "import kconnseq.cli; " + report)
+    assert bare.returncode == cli_import.returncode == 0, cli_import.stderr
+    assert cli_import.stdout == bare.stdout
 
 
 @pytest.mark.parametrize(
@@ -255,6 +275,16 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "--n", "5", "--k", "1")
         assert code == 2
 
+    def test_chain_n_over_the_vertex_cap(self, capsys):
+        # main() turns time_limit's TimeoutError into an error: line too;
+        # the exact message tells the cap from a timeout.
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "realize", "--n", "10001", "--k", "3", "--epsilon", "30001"
+            )
+        assert (code, out) == (2, "")
+        assert err == "error: --n must be within 1..10000, got 10001\n"
+
     def test_chain_target_out_of_range(self, capsys):
         code, _, err = run(
             capsys, "realize", "--n", "5", "--k", "2", "--epsilon", "99"
@@ -296,6 +326,16 @@ class TestWitness:
         )
         assert code == 0
         assert p1.exists() and p2.exists()
+
+    def test_n_over_the_vertex_cap(self, capsys, tmp_path):
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "witness", "--n", "10001", "--k", "2",
+                "--out-dir", str(tmp_path),
+            )
+        assert (code, out) == (2, "")
+        assert err == "error: --n must be within 1..10000, got 10001\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_n_too_small(self, capsys, tmp_path):
         code, _, err = run(

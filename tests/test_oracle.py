@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kconnseq import (
     DEFAULT_ENUMERATION_LIMIT,
+    DiscrepancyReport,
     SimpleGraph,
     TooLarge,
     all_degree_sequences,
@@ -105,6 +106,27 @@ class TestOracleVerdict:
 
         v = oracle_verdict(normalize([2, 2, 2, 2, 2]), 2)
         jsonschema.validate(v.to_json_dict(), load_schema("sequence_verdict"))
+
+
+class TestRecords:
+    def test_verdict_fields_are_read_only(self):
+        v = oracle_verdict(normalize([2, 2, 2, 2, 2]), 2)
+        with pytest.raises(AttributeError):
+            v.realization_count = 0
+        assert v.realization_count == 12
+
+    def test_report_fields_are_read_only(self):
+        report = audit_theorem1(4, 2)
+        with pytest.raises(AttributeError):
+            report.entries = ()
+        assert report.has_discrepancies
+
+    def test_boundary_defaults_to_none(self):
+        report = DiscrepancyReport(
+            subject="theorem1", universe={}, entries=(), summary={}
+        )
+        assert report.boundary is None
+        assert "boundary" not in report.to_json_dict()
 
 
 def labeled_profile(s, cap):

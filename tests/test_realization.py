@@ -143,6 +143,20 @@ class TestAugmentChain:
             augment_chain(6, 1, 10)
 
 
+class TestRecords:
+    def test_chain_step_fields_are_read_only(self):
+        step = augment_chain(5, 2, 6)[-1]
+        with pytest.raises(AttributeError):
+            step.epsilon = 0
+        assert step.epsilon == 6
+
+    def test_result_fields_are_read_only(self):
+        result = realize_k_connected(normalize([2, 2, 2]), 2)
+        with pytest.raises(AttributeError):
+            result.method = "heuristic"
+        assert result.found and result.method == "exact"
+
+
 class TestWitnessSequence:
     def test_known_values(self):
         assert witness_sequence(7, 2).terms == (6, 4, 4, 4, 4, 2, 2)

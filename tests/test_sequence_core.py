@@ -1,5 +1,6 @@
 """Degree-sequence arithmetic and the two feasibility predicates."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,43 @@ class TestDegreeSequence:
     def test_str_is_comma_joined(self):
         assert str(normalize([2, 4, 6])) == "6,4,2"
 
+    def test_equal_and_hashed_by_terms(self):
+        s = DegreeSequence((3, 3, 2))
+        assert s == normalize([2, 3, 3])
+        assert hash(s) == hash(normalize([2, 3, 3]))
+        assert s != DegreeSequence((3, 3, 3))
+        assert len({s, normalize([3, 2, 3]), DegreeSequence((2, 2))}) == 2
+
+    def test_not_equal_to_a_plain_tuple(self):
+        s = DegreeSequence((3, 3, 2))
+        assert s != (3, 3, 2) and (3, 3, 2) != s
+        assert s not in {(3, 3, 2)}
+
+    def test_orders_by_terms(self):
+        seqs = [normalize(t) for t in ([2, 2, 2], [3, 1, 1, 1], [2, 2], [3, 3])]
+        assert [x.terms for x in sorted(seqs)] == [
+            (2, 2), (2, 2, 2), (3, 1, 1, 1), (3, 3)
+        ]
+        short, long = DegreeSequence((2, 2)), DegreeSequence((2, 2, 2))
+        assert short < long <= long and long > short >= short
+        with pytest.raises(TypeError):
+            DegreeSequence((2, 2)) < (3, 3)
+
+    def test_read_only(self):
+        s = DegreeSequence((2, 1, 1))
+        with pytest.raises(AttributeError):
+            s.terms = (1, 1)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        with pytest.raises(AttributeError):
+            del s.terms
+        assert s.terms == (2, 1, 1)
+
+    def test_repr_and_pickle(self):
+        s = DegreeSequence((2, 1, 1))
+        assert repr(s) == "DegreeSequence(terms=(2, 1, 1))"
+        assert pickle.loads(pickle.dumps(s)) == s
+
     @given(sequences)
     def test_sequence_protocol(self, s):
         assert len(s) == s.phi == len(s.terms)
@@ -71,6 +109,20 @@ class TestAssociatedPair:
         assert pair.epsilon == Fraction(3, 2)
         assert not pair.epsilon_integral
         assert pair.epsilon_str() == "3/2"
+
+    def test_json_epsilon_in_lowest_terms(self):
+        even = associated_pair(normalize([6, 4, 4, 4, 4, 2, 2]))
+        odd = associated_pair(normalize([2, 1]))
+        assert (even.degree_sum, odd.degree_sum) == (26, 3)
+        assert even.to_json_dict() == {
+            "phi": 7,
+            "epsilon": {"numerator": 13, "denominator": 1, "integral": True},
+        }
+        assert odd.to_json_dict() == {
+            "phi": 2,
+            "epsilon": {"numerator": 3, "denominator": 2, "integral": False},
+        }
+        assert type(even.epsilon) is Fraction and type(odd.epsilon) is Fraction
 
     @given(sequences)
     def test_epsilon_identity(self, s):
