@@ -15,7 +15,6 @@ from .errors import (
     EmptySequence,
     KconnseqError,
     KOutOfRange,
-    MapNotInjective,
     NonPositiveTerm,
     NTooSmall,
     SameVertex,
@@ -38,18 +37,12 @@ from .sequence_core import (
 )
 from .graph_core import (
     MAX_VERTICES,
-    Edge,
     SimpleGraph,
-    add_edge,
-    complement,
     complete_graph,
     degree_sequence,
-    edge,
-    graph_union,
     internally_disjoint_path_count,
     is_connected,
     is_k_connected,
-    remove_edge,
     vertex_connectivity,
 )
 from .realization import (

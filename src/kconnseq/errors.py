@@ -13,10 +13,6 @@ class NonPositiveTerm(KconnseqError, ValueError):
     """Degree sequences are restricted to positive integers."""
 
 
-class MapNotInjective(KconnseqError, ValueError):
-    """A vertex relabeling collapsed two distinct vertices."""
-
-
 class SelfLoop(KconnseqError, ValueError):
     """Simple graphs contain no loops."""
 
@@ -48,9 +44,9 @@ class TargetOutOfRange(KconnseqError, ValueError):
 class AugmentationStuck(KconnseqError, RuntimeError):
     """An augmentation chain violated an invariant it was meant to keep.
 
-    Raised instead of silently repairing: either no complement edge was
-    available below the target, or a chain graph failed its k-connectivity
-    verification.
+    Raised instead of silently repairing: a chain graph failed its
+    k-connectivity verification, or the greedy realization of a graphic
+    sequence ran out of partners.
     """
 
 

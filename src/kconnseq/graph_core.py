@@ -1,9 +1,10 @@
 """Simple undirected graphs with exact vertex-connectivity queries.
 
 Graphs are immutable: vertices are 0..n-1 and adjacency is stored as one
-int bitmask per vertex, which keeps neighborhood intersection, BFS over
-allowed vertex sets, and complement cheap for the sizes this package
-enumerates.  Mutating operations (add_edge, union, ...) return new graphs.
+int bitmask per vertex, which keeps neighborhood intersection and BFS
+over allowed vertex sets cheap for the sizes this package enumerates.
+Constructions build the masks and wrap them once with
+SimpleGraph._from_masks.
 
 Connectivity is computed the Menger way: the number of internally disjoint
 a-b paths equals the max flow between a and b after splitting every
@@ -21,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DuplicateEdge,
     KOutOfRange,
-    MapNotInjective,
     SameVertex,
     SelfLoop,
     TooLarge,
@@ -31,14 +31,8 @@ from .sequence_core import DegreeSequence, normalize
 
 __all__ = [
     "MAX_VERTICES",
-    "Edge",
-    "edge",
     "SimpleGraph",
     "complete_graph",
-    "complement",
-    "graph_union",
-    "add_edge",
-    "remove_edge",
     "degree_sequence",
     "internally_disjoint_path_count",
     "vertex_connectivity",
@@ -46,19 +40,10 @@ __all__ = [
     "is_connected",
 ]
 
-Edge = tuple[int, int]
-
 # Largest vertex count SimpleGraph accepts.  Edge-list labels, "# n="
 # headers and --seq lengths all come from untrusted input, and the
 # adjacency list is allocated up front.
 MAX_VERTICES = 10_000
-
-
-def edge(a: int, b: int) -> Edge:
-    """Canonical (min, max) form of an undirected edge; rejects loops."""
-    if a == b:
-        raise SelfLoop(f"loop at vertex {a}")
-    return (a, b) if a < b else (b, a)
 
 
 class SimpleGraph:
@@ -66,7 +51,7 @@ class SimpleGraph:
 
     __slots__ = ("n", "_adj")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
@@ -94,6 +79,12 @@ class SimpleGraph:
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SimpleGraph is immutable")
+
+    def __reduce__(self):
+        return SimpleGraph._from_masks, (self.n, self._adj)
+
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, a: int, b: int) -> bool:
@@ -105,7 +96,7 @@ class SimpleGraph:
         self._check_vertex(v)
         return self._adj[v].bit_count()
 
-    def edges(self) -> Iterator[Edge]:
+    def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once, as (a, b) with a < b, in ascending order."""
         for a, mask in enumerate(self._adj):
             for b in _bits(mask >> (a + 1)):
@@ -164,65 +155,6 @@ def _component(adj: Sequence[int], live: int) -> int:
 def complete_graph(n: int) -> SimpleGraph:
     full = (1 << n) - 1
     return SimpleGraph._from_masks(n, [full ^ (1 << v) for v in range(n)])
-
-
-def complement(g: SimpleGraph) -> SimpleGraph:
-    full = (1 << g.n) - 1
-    return SimpleGraph._from_masks(
-        g.n, [(full ^ (1 << v)) & ~g._adj[v] for v in range(g.n)]
-    )
-
-
-def graph_union(
-    g: SimpleGraph, h: SimpleGraph, vertex_map: Sequence[int] | None = None
-) -> SimpleGraph:
-    """Edge-set union after relabeling h's vertices into g's label space.
-
-    ``vertex_map[v]`` gives the combined-space label of h's vertex v;
-    shared labels mean intentionally shared vertices.  The identity map is
-    assumed when omitted.  The result has max(g.n, 1 + max mapped label)
-    vertices and the union of both edge sets (overlapping edges collapse).
-    """
-    if vertex_map is None:
-        vertex_map = range(h.n)
-    else:
-        if len(vertex_map) != h.n:
-            raise MapNotInjective(
-                f"map covers {len(vertex_map)} vertices, graph has {h.n}"
-            )
-        if len(set(vertex_map)) != h.n:
-            raise MapNotInjective(f"map {list(vertex_map)!r} repeats a label")
-        if any(v < 0 for v in vertex_map):
-            raise VertexOutOfRange("mapped labels must be >= 0")
-    n_out = max(g.n, max(vertex_map, default=-1) + 1)
-    adj = list(g._adj) + [0] * (n_out - g.n)
-    for a, b in h.edges():
-        na, nb = vertex_map[a], vertex_map[b]
-        adj[na] |= 1 << nb
-        adj[nb] |= 1 << na
-    return SimpleGraph._from_masks(n_out, adj)
-
-
-def add_edge(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
-    a, b = edge(a, b)
-    g._check_vertex(b)
-    if g._adj[a] >> b & 1:
-        raise DuplicateEdge(f"edge ({a},{b}) already present")
-    adj = list(g._adj)
-    adj[a] |= 1 << b
-    adj[b] |= 1 << a
-    return SimpleGraph._from_masks(g.n, adj)
-
-
-def remove_edge(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
-    a, b = edge(a, b)
-    g._check_vertex(b)
-    if not g._adj[a] >> b & 1:
-        raise ValueError(f"edge ({a},{b}) not present")
-    adj = list(g._adj)
-    adj[a] &= ~(1 << b)
-    adj[b] &= ~(1 << a)
-    return SimpleGraph._from_masks(g.n, adj)
 
 
 def degree_sequence(g: SimpleGraph) -> DegreeSequence:

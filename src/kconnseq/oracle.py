@@ -651,16 +651,16 @@ def _corollary_worker(args: tuple[int, int, int, bool, int]) -> list[tuple]:
 
     A violator lies in the family of every set that separates it, but
     only the shard of its first separator keeps it, so the shards never
-    overlap and the parent has nothing to dedupe.
+    overlap.  Nor does a shard repeat a mask from the corollary threshold
+    up: a graph with no edge across two different A-B splits misses at
+    least 2(n - |removed|) - 3 pairs, more than the 2n - 3 - 2k that the
+    threshold leaves when |removed| < k.  Below the threshold the dict in
+    _corollary_violators merges repeats.
     """
     n, k, lo, enforce, removed = args
-    seen: set[int] = set()
     found = []
     for m in range(lo, comb(n, 2) + 1):
         for mask, adj in _separated_graphs(n, removed, m, k if enforce else 0):
-            if mask in seen:
-                continue
-            seen.add(mask)
             if enforce and any(row.bit_count() < k for row in adj):
                 continue
             if _first_separator(adj, n, k) == removed:

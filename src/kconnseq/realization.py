@@ -39,13 +39,10 @@ from .errors import (
 )
 from .graph_core import (
     SimpleGraph,
-    add_edge,
-    complement,
-    complete_graph,
+    _bits,
+    _component,
     degree_sequence,
-    graph_union,
     is_k_connected,
-    remove_edge,
     vertex_connectivity,
 )
 from .oracle import DEFAULT_ENUMERATION_LIMIT, _enumerate_masks
@@ -114,10 +111,11 @@ def _verified_step(g: SimpleGraph, k: int) -> ChainStep:
 def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
     """Walk from the k-regular base to epsilon_target edges, one per step.
 
-    Each step adds the complement edge joining two vertices of currently
+    Each step adds the missing edge joining two vertices of currently
     minimum degree (ties broken by lowest label pair), so each sequence is
     the previous one with two terms incremented.  Every graph in the chain
-    is verified k-connected.
+    is verified k-connected.  Below the target, which is at most C(n,2),
+    some edge is always missing.
     """
     base = base_k_regular(n, k)
     lo, hi = base.edge_count, comb(n, 2)
@@ -126,22 +124,21 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
             f"epsilon target {epsilon_target} outside feasible range"
             f" [{lo}, {hi}] for n = {n}, k = {k}"
         )
-    g = base
-    steps = [_verified_step(g, k)]
-    while g.edge_count < epsilon_target:
-        degs = [g.degree(v) for v in range(g.n)]
-        # edges() is in ascending order, so ties go to the lowest pair
-        best = min(
-            complement(g).edges(),
-            key=lambda e: sorted((degs[e[0]], degs[e[1]])),
-            default=None,
+    full = (1 << n) - 1
+    adj = list(base._adj)
+    steps = [_verified_step(base, k)]
+    for _ in range(lo, epsilon_target):
+        degs = [row.bit_count() for row in adj]
+        # the missing pairs in ascending order, so ties go to the lowest pair
+        missing = (
+            (a, a + 1 + b)
+            for a in range(n)
+            for b in _bits((full ^ adj[a]) >> (a + 1))
         )
-        if best is None:
-            raise AugmentationStuck(
-                f"no complement edge available at {g.edge_count} edges"
-            )
-        g = add_edge(g, *best)
-        steps.append(_verified_step(g, k))
+        a, b = min(missing, key=lambda e: sorted((degs[e[0]], degs[e[1]])))
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        steps.append(_verified_step(SimpleGraph._from_masks(n, adj), k))
     return steps
 
 
@@ -160,8 +157,18 @@ def witness_sequence(n: int, k: int) -> DegreeSequence:
 
 
 def _swap(g: SimpleGraph, a: int, b: int, c: int, d: int) -> SimpleGraph:
-    """Degree-preserving 2-swap: edges ab and cd become ac and bd."""
-    return add_edge(add_edge(remove_edge(remove_edge(g, a, b), c, d), a, c), b, d)
+    """Degree-preserving 2-swap: edges ab and cd become ac and bd.
+
+    The caller guarantees that a, b, c, d are distinct, that ab and cd
+    are edges and that ac and bd are not, so each flip below removes one
+    edge and adds one.
+    """
+    adj = list(g._adj)
+    adj[a] ^= 1 << b | 1 << c
+    adj[b] ^= 1 << a | 1 << d
+    adj[c] ^= 1 << d | 1 << a
+    adj[d] ^= 1 << c | 1 << b
+    return SimpleGraph._from_masks(g.n, adj)
 
 
 def build_G1(n: int, k: int) -> SimpleGraph:
@@ -177,10 +184,14 @@ def build_G1(n: int, k: int) -> SimpleGraph:
         raise KOutOfRange(f"k must be >= 1, got {k}")
     if n < k + 3:
         raise NTooSmall(f"need n >= k + 3 = {k + 3}, got n = {n}")
-    small = complete_graph(k + 1)
-    large = complete_graph(n - 2)
-    into_shared_space = list(range(k - 1)) + list(range(k + 1, n))
-    return graph_union(small, large, into_shared_space)
+    small = (1 << (k + 1)) - 1
+    large = ((1 << (k - 1)) - 1) | (((1 << n) - 1) & ~small)
+    adj = [
+        ((small if small >> v & 1 else 0) | (large if large >> v & 1 else 0))
+        & ~(1 << v)
+        for v in range(n)
+    ]
+    return SimpleGraph._from_masks(n, adj)
 
 
 def build_G2(n: int, k: int) -> SimpleGraph:
@@ -197,13 +208,46 @@ def build_G2(n: int, k: int) -> SimpleGraph:
 
 
 def is_maximally_non_k_connected(g: SimpleGraph, k: int) -> bool:
-    """Not k-connected, but every single edge addition makes it so."""
+    """Not k-connected, but every single edge addition makes it so.
+
+    Decided by structure, with no flow: g is maximal exactly when it is
+    K_n with n <= k, or exactly k-1 vertices have degree n-1 and deleting
+    them leaves two non-empty cliques with no edge between them, that is,
+    g = K_{k-1} join (K_a + K_b) with a, b >= 1.
+
+    Such a g is maximal.  K_n with n <= k is not k-connected and has no
+    missing edge.  In the join the k-1 universal vertices U separate the
+    cliques, and every missing edge ab joins them.  A separator X of
+    g + ab must contain U, and X - U must cut the two cliques joined by
+    ab, so it holds a or b: |X| >= k.  As g + ab has n >= k + 1
+    vertices, it is k-connected (it is K_{k+1} when a = b = 1).
+
+    Conversely let g be maximal and not complete, and S a minimum
+    separator, |S| < k.  An edge added inside S, inside a component of
+    g - S, or from S to a component leaves S a separator, so all those
+    edges are present; with three components, an edge between two of them
+    leaves S parting the third.  So g - S is two cliques A and B, each
+    joined to all of S, and S is exactly the set of degree n-1.  If
+    |S| < k - 1, add an A-B edge ab with, say, |A| >= 2: S + a is a
+    separator of size < k.  With |A| = |B| = 1, g + ab is K_n with
+    n <= k.  Either way g was not maximal, so |S| = k - 1.
+    """
     if k < 1:
         raise KOutOfRange(f"k must be >= 1, got {k}")
-    if is_k_connected(g, k):
+    adj = g._adj
+    full = (1 << g.n) - 1
+    universal = sum(1 << v for v in range(g.n) if adj[v] | 1 << v == full)
+    if universal == full:
+        return g.n <= k
+    if universal.bit_count() != k - 1:
         return False
+    rest = full & ~universal
+    side_a = _component(adj, rest)
+    side_b = rest & ~side_a
+    # an empty side_b fails the test below: side_a would be universal
     return all(
-        is_k_connected(add_edge(g, a, b), k) for a, b in complement(g).edges()
+        adj[v] | 1 << v == universal | (side_a if side_a >> v & 1 else side_b)
+        for v in _bits(rest)
     )
 
 
@@ -277,13 +321,14 @@ def realize_k_connected(
 
     Small sequences (phi <= oracle_limit) are settled exactly by
     enumeration: the first k-connected realization in labeled order,
-    found among the twin-orbit representatives (see oracle).  Larger ones first get the certain negatives out of the
-    way (not graphic, minimum term below k, too few vertices, fewer than
-    phi - 1 edges), then run a degree-preserving local search: start from
-    a greedy realization that lays off the smallest degree first, which
-    is connected once the negatives are out of the way, and apply random
-    2-swaps that never lower connectivity, up to 10*phi^2 attempts.  A
-    failed search is labeled "heuristic" -- it proves nothing.
+    found among the twin-orbit representatives (see oracle).  Larger ones
+    first get the three certain negatives out of the way (not graphic,
+    minimum term below k, fewer than phi - 1 edges), then run a
+    degree-preserving local search: start from a greedy realization that
+    lays off the smallest degree first, which is connected once the
+    negatives are out of the way, and apply random 2-swaps that never
+    lower connectivity, up to 10*phi^2 attempts.  A failed search is
+    labeled "heuristic" -- it proves nothing.
     """
     if k < 1:
         raise KOutOfRange(f"k must be >= 1, got {k}")
@@ -295,11 +340,11 @@ def realize_k_connected(
         return RealizationResult(None, "exact")
 
     # A connected graph on phi vertices needs phi - 1 edges; with that
-    # many, _havel_hakimi's graph is connected.
+    # many, _havel_hakimi's graph is connected.  phi > k needs no test:
+    # Erdos-Gallai at r = 1 gives k <= s[-1] <= s[0] <= phi - 1.
     if (
         not erdos_gallai_graphic(s)
         or s[-1] < k
-        or len(s) <= k
         or s.degree_sum < 2 * (len(s) - 1)
     ):
         return RealizationResult(None, "exact")

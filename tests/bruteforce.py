@@ -184,3 +184,21 @@ def max_edges_non_k_connected(n: int, k: int, enforce_min_degree: bool):
             if kappa_capped(n, edges, k) < k:
                 return m
     return None
+
+
+def is_maximally_non_k_connected(n: int, edges, k: int) -> bool:
+    """Not k-connected, and adding any one missing edge makes it so.
+
+    The definition, one removal search per missing edge.
+    """
+
+    def k_connected(es) -> bool:
+        return n > k and kappa_capped(n, es, k) >= k
+
+    edges = [tuple(sorted(e)) for e in edges]
+    if k_connected(edges):
+        return False
+    present = set(edges)
+    return all(
+        k_connected(edges + [e]) for e in all_pairs(n) if e not in present
+    )

@@ -101,11 +101,20 @@ def test_criterion_2_witness_connectivity():
 
 
 def test_criterion_3_g1_maximality():
-    """Adding any missing edge to G1 yields a k-connected graph."""
+    """Adding any missing edge to G1 yields a k-connected graph.
+
+    Checked edge by edge with flow connectivity, then through the
+    structural test in is_maximally_non_k_connected."""
     start = time.perf_counter()
     for k in range(1, 5):
         for n in range(k + 3, 11):
-            assert is_maximally_non_k_connected(build_G1(n, k), k), (n, k)
+            g1 = build_G1(n, k)
+            edges = list(g1.edges())
+            missing = [e for e in bruteforce.all_pairs(n) if not g1.has_edge(*e)]
+            assert missing and not is_k_connected(g1, k), (n, k)
+            for e in missing:
+                assert is_k_connected(SimpleGraph(n, edges + [e]), k), (n, k, e)
+            assert is_maximally_non_k_connected(g1, k), (n, k)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
 

@@ -327,6 +327,17 @@ class TestWitness:
         assert code == 0
         assert p1.exists() and p2.exists()
 
+    def test_large_pair_is_quick(self, capsys, tmp_path):
+        # Maximality is decided by structure, not by one flow per missing
+        # edge, so the flows for the two kappas dominate.
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "witness", "--n", "300", "--k", "2",
+                "--out-dir", str(tmp_path),
+            )
+        assert (code, err) == (0, "")
+        assert out.endswith("g1 maximally non-2-connected: true\n")
+
     def test_n_over_the_vertex_cap(self, capsys, tmp_path):
         with time_limit(10):
             code, out, err = run(

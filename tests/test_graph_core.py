@@ -1,9 +1,10 @@
-"""Graph container, combinators, and the two connectivity routes.
+"""Graph container, constructors, and the two connectivity routes.
 
 The flow-based vertex_connectivity here is cross-examined against the
 brute-force removal search in bruteforce.py on every random graph.
 """
 
+import pickle
 import random
 
 import pytest
@@ -14,22 +15,20 @@ from kconnseq import (
     MAX_VERTICES,
     DuplicateEdge,
     KOutOfRange,
-    MapNotInjective,
     NonPositiveTerm,
     SameVertex,
     SelfLoop,
     SimpleGraph,
     TooLarge,
     VertexOutOfRange,
-    add_edge,
-    complement,
+    augment_chain,
     complete_graph,
     degree_sequence,
-    graph_union,
     internally_disjoint_path_count,
     is_connected,
     is_k_connected,
-    remove_edge,
+    normalize,
+    realize_k_connected,
     vertex_connectivity,
 )
 from kconnseq.graph_core import _component
@@ -79,6 +78,18 @@ class TestSimpleGraph:
         g = complete_graph(3)
         with pytest.raises(AttributeError):
             g.n = 5
+        with pytest.raises(AttributeError):
+            del g.n
+        assert g.n == 3 and g.edge_count == 3
+
+    def test_pickle_round_trip(self):
+        g = SimpleGraph(5, [(0, 1), (1, 4), (2, 3)])
+        step = augment_chain(5, 2, 6)[-1]
+        result = realize_k_connected(normalize([2, 2, 2, 2]), 2)
+        assert result.found
+        for value in (g, SimpleGraph(0), step, result):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
 
     def test_accessors(self):
         g = SimpleGraph(4, [(0, 1), (2, 1)])
@@ -101,46 +112,6 @@ class TestCombinators:
         assert complete_graph(4).edge_count == 6
         assert complete_graph(1).edge_count == 0
         assert SimpleGraph(5).edge_count == 0
-
-    def test_complement_round_trip(self):
-        g = SimpleGraph(5, [(0, 1), (2, 3)])
-        assert complement(complement(g)) == g
-        assert complement(complete_graph(4)) == SimpleGraph(4)
-
-    def test_add_remove_edge(self):
-        g = SimpleGraph(3)
-        g2 = add_edge(g, 0, 2)
-        assert g2.has_edge(0, 2) and not g.has_edge(0, 2)
-        assert remove_edge(g2, 2, 0) == g
-        with pytest.raises(DuplicateEdge):
-            add_edge(g2, 0, 2)
-        with pytest.raises(ValueError):
-            remove_edge(g2, 0, 1)
-
-    def test_union_identity_map(self):
-        g = SimpleGraph(3, [(0, 1)])
-        h = SimpleGraph(3, [(1, 2)])
-        assert graph_union(g, h) == SimpleGraph(3, [(0, 1), (1, 2)])
-        # overlapping edges collapse
-        assert graph_union(g, g) == g
-
-    def test_union_bowtie(self):
-        # two triangles sharing vertex 0
-        t = complete_graph(3)
-        bowtie = graph_union(t, t, vertex_map=[0, 3, 4])
-        assert bowtie.n == 5
-        assert bowtie.edge_count == 6
-        assert bowtie.degree(0) == 4
-
-    def test_union_rejects_non_injective_map(self):
-        t = complete_graph(3)
-        with pytest.raises(MapNotInjective):
-            graph_union(t, t, vertex_map=[0, 1, 1])
-
-    @given(graph_strategy(max_n=6))
-    def test_complement_degrees(self, g):
-        for v in range(g.n):
-            assert complement(g).degree(v) == g.n - 1 - g.degree(v)
 
 
 class TestDegreeSequence:
@@ -227,8 +198,9 @@ class TestMengerPathCounts:
     @given(graph_strategy(max_n=6))
     @settings(max_examples=60)
     def test_adjacent_pairs_count_the_direct_edge(self, g):
-        for a, b in g.edges():
-            removed = remove_edge(g, a, b)
+        edges = list(g.edges())
+        for a, b in edges:
+            removed = SimpleGraph(g.n, [e for e in edges if e != (a, b)])
             assert internally_disjoint_path_count(g, a, b) == (
                 1 + internally_disjoint_path_count(removed, a, b)
             )
@@ -291,11 +263,12 @@ class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_adding_an_edge_never_hurts(self, g):
         before = vertex_connectivity(g)
-        comp = sorted(complement(g).edges())
+        comp = [e for e in bruteforce.all_pairs(g.n) if not g.has_edge(*e)]
         if comp:
             rng = random.Random(g.edge_count)
             a, b = comp[rng.randrange(len(comp))]
-            assert vertex_connectivity(add_edge(g, a, b)) >= before
+            added = SimpleGraph(g.n, [*g.edges(), (a, b)])
+            assert vertex_connectivity(added) >= before
 
     @given(graph_strategy(max_n=6))
     @settings(max_examples=60, deadline=None)

@@ -325,6 +325,23 @@ class TestAuditCorollary:
             seen += len(want)
         assert n < 4 or seen
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_shards_never_repeat_a_mask_at_the_threshold(self, n):
+        # From the threshold up, two A-B splits of one removal set never
+        # leave room for the same graph, so no worker has to dedupe.
+        from kconnseq.oracle import _separated_graphs, _separators
+
+        for k in range(1, 5):
+            lo = corollary_threshold(n, k)
+            for min_degree in (0, k):
+                for removed in _separators(n, k):
+                    masks = [
+                        mask
+                        for m in range(lo, comb(n, 2) + 1)
+                        for mask, _ in _separated_graphs(n, removed, m, min_degree)
+                    ]
+                    assert len(masks) == len(set(masks)), (n, k, removed)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_complete_graph_below_k(self, n):
         # No vertex set separates K_n; the sweep adds it when n - 1 < k.

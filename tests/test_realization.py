@@ -9,6 +9,7 @@ their true values.
 
 import signal
 from contextlib import contextmanager
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,11 @@ from kconnseq import (
     KOutOfRange,
     NTooSmall,
     TargetOutOfRange,
-    add_edge,
     all_degree_sequences,
     augment_chain,
     base_k_regular,
     build_G1,
     build_G2,
-    complement,
     complete_graph,
     degree_sequence,
     enumerate_realizations,
@@ -243,6 +242,30 @@ class TestWitnessGraphs:
         assert not is_maximally_non_k_connected(c4, 3)
 
 
+class TestMaximalityByStructure:
+    """The structural test against the per-edge definition in bruteforce."""
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_every_small_graph(self, n):
+        pairs = bruteforce.all_pairs(n)
+        maximal = 0
+        for bits in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+            g = SimpleGraph(n, edges)
+            for k in range(1, n + 2):
+                want = bruteforce.is_maximally_non_k_connected(n, edges, k)
+                assert is_maximally_non_k_connected(g, k) == want, (edges, k)
+                maximal += want
+        assert maximal
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_witness_pairs(self, k):
+        for n in range(k + 3, 13):
+            for g in (build_G1(n, k), build_G2(n, k)):
+                want = bruteforce.is_maximally_non_k_connected(n, g.edges(), k)
+                assert is_maximally_non_k_connected(g, k) == want, (n, k)
+
+
 class TestRealizeKConnected:
     def test_exact_positive(self):
         result = realize_k_connected(normalize([2, 2, 2, 2, 2]), 2)
@@ -304,6 +327,17 @@ class TestRealizeKConnected:
         with time_limit(10):
             result = realize_k_connected(normalize([4] * 8), 5)
         assert (result.graph, result.method) == (None, "exact")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_negative_when_k_reaches_phi(self, n):
+        # No test of phi > k is needed past the oracle: a graphic s has
+        # s[-1] <= s[0] <= phi - 1, so s[-1] >= k >= phi fails the graphic
+        # or the minimum-term negative.  Terms run up to phi + 1 so that
+        # sequences with s[-1] >= k occur.
+        for terms in combinations_with_replacement(range(n + 1, 0, -1), n):
+            for k in (n, n + 1):
+                result = realize_k_connected(normalize(terms), k, oracle_limit=0)
+                assert result == (None, "exact"), (terms, k)
 
     def test_exact_negative_too_few_edges_for_a_tree(self):
         # Above the oracle limit, with fewer than phi - 1 edges: no
