@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import EdgeListParseError
-from .graph_core import SimpleGraph
+from .graph_core import SimpleGraph, _bits
 
 __all__ = ["parse_edge_list", "read_edge_list", "format_edge_list", "write_edge_list"]
 
@@ -80,9 +80,17 @@ def read_edge_list(path) -> SimpleGraph:
 def format_edge_list(g: SimpleGraph) -> str:
     # Always emit the header: it makes vertex count explicit and the
     # round-trip exact even when high-label vertices have no edges.
-    lines = [f"# n={g.n}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges()))
-    return "\n".join(lines) + "\n"
+    # Edges come out as SimpleGraph.edges() yields them, ascending: one
+    # row of "a b" lines per vertex a, over the neighbours above a.
+    rows = [f"# n={g.n}\n"]
+    for a, mask in enumerate(g._adj):
+        later = mask >> (a + 1)
+        if later:
+            head = f"{a} "
+            rows.append(
+                head + f"\n{head}".join([str(a + 1 + b) for b in _bits(later)]) + "\n"
+            )
+    return "".join(rows)
 
 
 def write_edge_list(g: SimpleGraph, path) -> None:

@@ -9,14 +9,18 @@ SimpleGraph._from_masks.
 Connectivity is computed the Menger way: the number of internally disjoint
 a-b paths equals the max flow between a and b after splitting every
 internal vertex into an in/out pair joined by a unit-capacity arc.
-vertex_connectivity picks its flow pairs by Esfahanian-Hakimi: from a
-vertex v of minimum degree to each non-neighbour, then between each
-non-adjacent pair of v's neighbours, about n + delta^2 flows in all.
+Each flow first routes the direct edge ab, if any, and one path through
+each common neighbour of a and b, with no search; the remaining
+augmenting paths come from a level-synchronous BFS that ORs together the
+out-arc masks of a whole frontier at once, and walk back through the
+in-arc masks.  vertex_connectivity picks its flow pairs by
+Esfahanian-Hakimi: from a vertex v of minimum degree to each
+non-neighbour, then between each non-adjacent pair of v's neighbours,
+about n + delta^2 flows in all.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -170,61 +174,91 @@ def is_connected(g: SimpleGraph) -> bool:
 # -- Menger / max-flow -----------------------------------------------------
 
 
-def _split_digraph(g: SimpleGraph) -> list[int]:
-    """Residual base of the split digraph, one out-arc mask per node.
+def _split_digraph(g: SimpleGraph) -> tuple[list[int], list[int]]:
+    """Residual base of the split digraph, as out-arc and in-arc masks.
 
     Every vertex v becomes v_in = 2v and v_out = 2v + 1 joined by a unit
     arc; each graph edge uw becomes two unit arcs u_out -> w_in and
-    w_out -> u_in.  Entry 2v holds only v's split arc.
+    w_out -> u_in.  ``out[x]`` holds the heads of x's arcs and ``inn[x]``
+    their tails.  Putting a zero between the binary digits of adj[v]
+    moves bit w to bit 2w, which gives v_out's out-mask with no loop over
+    edges; v_in's in-mask is the same mask shifted left by one.
     """
-    base = [0] * (2 * g.n)
-    for v in range(g.n):
-        base[2 * v] = 1 << (2 * v + 1)
-    for u, w in g.edges():
-        base[2 * u + 1] |= 1 << (2 * w)
-        base[2 * w + 1] |= 1 << (2 * u)
-    return base
+    spread = [int("0".join(format(nbrs, "b")), 2) for nbrs in g._adj]
+    out = [0] * (2 * g.n)
+    inn = [0] * (2 * g.n)
+    out[0::2] = [1 << (2 * v + 1) for v in range(g.n)]
+    out[1::2] = spread
+    inn[0::2] = [m << 1 for m in spread]
+    inn[1::2] = [1 << (2 * v) for v in range(g.n)]
+    return out, inn
 
 
-def _vertex_capacity_max_flow(base: list[int], a: int, b: int, cap: int | None) -> int:
+def _vertex_capacity_max_flow(
+    base: tuple[list[int], list[int]], a: int, b: int, cap: int | None
+) -> int:
     """Count internally disjoint a-b paths by unit-capacity max flow.
 
-    ``base`` is the split digraph from _split_digraph; it is copied, not
-    changed.  Flow from a_out to b_in, with the split arcs of a and b
-    dropped, equals the number of internally disjoint paths.  ``cap``
-    stops early once that many augmenting paths are found.
+    ``base`` is the pair of lists from _split_digraph; both are copied,
+    not changed.  The flow runs from a_out to b_in, so the split arcs of
+    a and b, which lead into the source or out of the sink, carry none,
+    and its value is the number of internally disjoint paths.  ``cap``
+    stops early once that many paths are found.
+
+    The short paths are routed without a search: the arc a_out -> b_in
+    when a and b are adjacent, then a_out -> w_in -> w_out -> b_in for
+    each common neighbour w.  Each further augmenting path comes from a
+    level-synchronous bitset BFS over the residual digraph: a level is
+    the union of the out-masks of the level before, less the nodes
+    already seen, and the search stops at the level holding the sink.
+    The path is walked back from the sink through ``inn[v] & level``.
     """
+    out, inn = base
+    out = out.copy()
+    inn = inn.copy()
     source = 2 * a + 1
     sink = 2 * b
-    residual = base.copy()
-    residual[2 * a] = residual[2 * b] = 0
-    size = len(residual)
+    limit = len(out) if cap is None else cap
+
+    def push(u: int, v: int) -> None:
+        # Reverse the residual arc u -> v.
+        out[u] &= ~(1 << v)
+        inn[v] &= ~(1 << u)
+        out[v] |= 1 << u
+        inn[u] |= 1 << v
 
     flow = 0
-    while cap is None or flow < cap:
-        # BFS for an augmenting path in the residual digraph.
-        parent = [-1] * size
-        parent[source] = source
-        q = deque([source])
-        seen = 1 << source
-        found = False
-        while q:
-            u = q.popleft()
-            if u == sink:
-                found = True
-                break
-            m = residual[u] & ~seen
-            seen |= m
-            for w in _bits(m):
-                parent[w] = u
-                q.append(w)
-        if not found:
-            break
+    if limit > 0 and out[source] >> sink & 1:
+        push(source, sink)
+        flow += 1
+    for w_in in _bits(out[source] & out[sink + 1]):
+        if flow >= limit:
+            return flow
+        push(source, w_in)
+        push(w_in, w_in + 1)
+        push(w_in + 1, sink)
+        flow += 1
+
+    while flow < limit:
+        levels = []
+        frontier = seen = 1 << source
+        while not frontier >> sink & 1:
+            levels.append(frontier)
+            reach = 0
+            m = frontier
+            while m:
+                low = m & -m
+                reach |= out[low.bit_length() - 1]
+                m ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return flow
+            seen |= frontier
         v = sink
-        while v != source:
-            u = parent[v]
-            residual[u] &= ~(1 << v)
-            residual[v] |= 1 << u
+        for level in reversed(levels):
+            m = inn[v] & level
+            u = (m & -m).bit_length() - 1
+            push(u, v)
             v = u
         flow += 1
     return flow

@@ -7,6 +7,7 @@ correctness over speed.  Keep it that way: these are the referees.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from math import comb
 
@@ -110,6 +111,56 @@ def _same_component(n: int, edges, removed, a: int, b: int) -> bool:
                 seen.add(w)
                 stack.append(w)
     return b in seen
+
+
+def split_digraph(n: int, edges) -> list[int]:
+    """Residual base of the split digraph, one out-arc mask per node.
+
+    Vertex v becomes v_in = 2v and v_out = 2v + 1 joined by a unit arc;
+    each edge uw becomes the arcs u_out -> w_in and w_out -> u_in, added
+    one edge at a time.
+    """
+    base = [0] * (2 * n)
+    for v in range(n):
+        base[2 * v] = 1 << (2 * v + 1)
+    for u, w in edges:
+        base[2 * u + 1] |= 1 << (2 * w)
+        base[2 * w + 1] |= 1 << (2 * u)
+    return base
+
+
+def vertex_capacity_max_flow(base: list[int], a: int, b: int, cap) -> int:
+    """Internally disjoint a-b paths, by max flow from a_out to b_in.
+
+    Ford-Fulkerson with one deque BFS and a parent list per augmenting
+    path, on a copy of ``base``; the split arcs of a and b are dropped.
+    Stops once ``cap`` paths are found (None: no cap).
+    """
+    source = 2 * a + 1
+    sink = 2 * b
+    residual = base.copy()
+    residual[2 * a] = residual[2 * b] = 0
+    flow = 0
+    while cap is None or flow < cap:
+        parent = [-1] * len(residual)
+        parent[source] = source
+        q = deque([source])
+        while q and parent[sink] < 0:
+            u = q.popleft()
+            for w in range(len(residual)):
+                if residual[u] >> w & 1 and parent[w] < 0:
+                    parent[w] = u
+                    q.append(w)
+        if parent[sink] < 0:
+            return flow
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u] &= ~(1 << v)
+            residual[v] |= 1 << u
+            v = u
+        flow += 1
+    return flow
 
 
 def random_edges(n: int, rng, p: float = 0.5) -> list[tuple[int, int]]:

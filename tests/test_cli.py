@@ -338,6 +338,18 @@ class TestWitness:
         assert (code, err) == (0, "")
         assert out.endswith("g1 maximally non-2-connected: true\n")
 
+    def test_dense_pair_at_size(self, capsys, tmp_path):
+        # Most flows in the two kappas are routed through common
+        # neighbours without a search, and the files are written one row
+        # per vertex: about a million edges per graph here.
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "witness", "--n", "1500", "--k", "2",
+                "--out-dir", str(tmp_path),
+            )
+        assert (code, err) == (0, "")
+        assert "connectivity=1" in out and "connectivity=2" in out
+
     def test_n_over_the_vertex_cap(self, capsys, tmp_path):
         with time_limit(10):
             code, out, err = run(

@@ -38,8 +38,8 @@ fuzz_text = st.one_of(st.text(max_size=200), near_edge_lists)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 8))
+def graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     pairs = bruteforce.all_pairs(n)
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph(n, [e for e, keep in zip(pairs, picks) if keep])
@@ -133,6 +133,15 @@ class TestFormat:
     @settings(max_examples=80)
     def test_round_trip_exact(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @given(graphs(max_n=14))
+    @settings(max_examples=80)
+    def test_rows_match_one_line_per_sorted_edge(self, g):
+        lines = [f"# n={g.n}"]
+        lines.extend(f"{a} {b}" for a, b in sorted(g.edges()))
+        text = format_edge_list(g)
+        assert text == "\n".join(lines) + "\n"
+        assert parse_edge_list(text) == g
 
     @given(graphs())
     @settings(max_examples=40)

@@ -31,7 +31,7 @@ from kconnseq import (
     realize_k_connected,
     vertex_connectivity,
 )
-from kconnseq.graph_core import _component
+from kconnseq.graph_core import _component, _split_digraph, _vertex_capacity_max_flow
 
 import bruteforce
 
@@ -56,6 +56,21 @@ def mid_size_graphs(draw):
     p = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return SimpleGraph(n, bruteforce.random_edges(n, rng, p))
+
+
+@st.composite
+def flow_cases(draw):
+    """(graph, a, b, cap) on 2..20 vertices, with ab an edge or not."""
+    n = draw(st.integers(2, 20))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    ab = (min(a, b), max(a, b))
+    edges = [e for e in bruteforce.random_edges(n, rng, p) if e != ab]
+    if draw(st.booleans()):
+        edges.append(ab)
+    cap = draw(st.one_of(st.none(), st.integers(0, n)))
+    return SimpleGraph(n, edges), a, b, cap
 
 
 class TestSimpleGraph:
@@ -204,6 +219,38 @@ class TestMengerPathCounts:
             assert internally_disjoint_path_count(g, a, b) == (
                 1 + internally_disjoint_path_count(removed, a, b)
             )
+
+
+    @given(flow_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_flow_matches_the_deque_bfs_reference(self, case):
+        g, a, b, cap = case
+        base = _split_digraph(g)
+        out, inn = list(base[0]), list(base[1])
+        ref = bruteforce.split_digraph(g.n, list(g.edges()))
+        assert out == ref
+        assert inn == [
+            sum(1 << u for u in range(2 * g.n) if ref[u] >> v & 1)
+            for v in range(2 * g.n)
+        ]
+        got = _vertex_capacity_max_flow(base, a, b, cap)
+        assert got == bruteforce.vertex_capacity_max_flow(ref, a, b, cap)
+        assert base == (out, inn)
+
+    @given(graph_strategy(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_path_counts_match_removal_sets(self, g):
+        """Menger by removal search: the smallest a-b separator, plus the
+        direct edge when a and b are adjacent."""
+        edges = list(g.edges())
+        for a, b in bruteforce.all_pairs(g.n):
+            if g.has_edge(a, b):
+                rest = [e for e in edges if e != (a, b)]
+                want = 1 + bruteforce.min_separator(g.n, rest, a, b)
+            else:
+                want = bruteforce.min_separator(g.n, edges, a, b)
+            assert internally_disjoint_path_count(g, a, b) == want
+            assert internally_disjoint_path_count(g, b, a) == want
 
 
 class TestIsKConnected:
