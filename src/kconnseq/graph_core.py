@@ -9,11 +9,14 @@ SimpleGraph._from_masks.
 Connectivity is computed the Menger way: the number of internally disjoint
 a-b paths equals the max flow between a and b after splitting every
 internal vertex into an in/out pair joined by a unit-capacity arc.
-Each flow first routes the direct edge ab, if any, and one path through
-each common neighbour of a and b, with no search; the remaining
-augmenting paths come from a level-synchronous BFS that ORs together the
-out-arc masks of a whole frontier at once, and walk back through the
-in-arc masks.  vertex_connectivity picks its flow pairs by
+Each flow runs in three steps.  Settle: when the direct edge ab, if any,
+and the common neighbours of a and b already reach the cap, the answer
+is read from the masks with nothing copied.  Route: otherwise those
+paths, then disjoint paths a-x-y-b picked greedily, are routed with no
+search.  Search: the remaining augmenting paths come from a
+level-synchronous BFS that ORs together the out-arc masks of a whole
+frontier at once, and walk back through the in-arc masks.
+vertex_connectivity picks its flow pairs by
 Esfahanian-Hakimi: from a vertex v of minimum degree to each
 non-neighbour, then between each non-adjacent pair of v's neighbours,
 about n + delta^2 flows in all.
@@ -199,44 +202,87 @@ def _vertex_capacity_max_flow(
 ) -> int:
     """Count internally disjoint a-b paths by unit-capacity max flow.
 
-    ``base`` is the pair of lists from _split_digraph; both are copied,
-    not changed.  The flow runs from a_out to b_in, so the split arcs of
-    a and b, which lead into the source or out of the sink, carry none,
+    ``base`` is the pair of lists from _split_digraph; neither is
+    changed.  The flow runs from a_out to b_in, so the split arcs of a
+    and b, which lead into the source or out of the sink, carry none,
     and its value is the number of internally disjoint paths.  ``cap``
     stops early once that many paths are found.
 
-    The short paths are routed without a search: the arc a_out -> b_in
-    when a and b are adjacent, then a_out -> w_in -> w_out -> b_in for
-    each common neighbour w.  Each further augmenting path comes from a
-    level-synchronous bitset BFS over the residual digraph: a level is
-    the union of the out-masks of the level before, less the nodes
-    already seen, and the search stops at the level holding the sink.
-    The path is walked back from the sink through ``inn[v] & level``.
+    The flow is built in three steps, and each hands the next a feasible
+    flow, from which Ford-Fulkerson still reaches the maximum.
+
+    * Settle: the direct arc a_out -> b_in, when ab is an edge, and the
+      paths a_out -> w_in -> w_out -> b_in through the common neighbours
+      w are disjoint, so when they reach ``cap`` the answer is ``cap``,
+      read from the base masks before anything is copied.
+    * Route: otherwise copy both lists and route all of those paths,
+      then greedily the paths a -> x -> y -> b with x an unused
+      neighbour of a, y an unused neighbour of b and xy an edge, with no
+      search.  The x come from the source's residual out-mask and the y
+      from the sink's residual in-mask, so a, b and the common
+      neighbours are never chosen, and no x is ever a y (it would be a
+      common neighbour); each y is taken from the end set once used.
+    * Search: each further augmenting path comes from a level-synchronous
+      bitset BFS over the residual digraph: a level is the union of the
+      out-masks of the level before, less the nodes already seen, and
+      the search stops at the level holding the sink.  The path is
+      walked back from the sink through ``inn[v] & level``.
     """
     out, inn = base
-    out = out.copy()
-    inn = inn.copy()
     source = 2 * a + 1
     sink = 2 * b
     limit = len(out) if cap is None else cap
+    direct = out[source] >> sink & 1
+    common = out[source] & out[sink + 1]
+    flow = direct + common.bit_count()
+    if flow >= limit:
+        return limit
 
-    def push(u: int, v: int) -> None:
-        # Reverse the residual arc u -> v.
-        out[u] &= ~(1 << v)
-        inn[v] &= ~(1 << u)
-        out[v] |= 1 << u
-        inn[u] |= 1 << v
+    out = out.copy()
+    inn = inn.copy()
+    if direct:
+        out[source] ^= 1 << sink
+        inn[source] |= 1 << sink
+        out[sink] |= 1 << source
+        inn[sink] ^= 1 << source
+    out[source] ^= common
+    inn[source] |= common
+    out[sink] |= common << 1
+    inn[sink] &= ~(common << 1)
+    m = common
+    while m:
+        low = m & -m
+        w_in = low.bit_length() - 1
+        out[w_in] = 1 << source
+        inn[w_in] = inn[w_in] & ~(1 << source) | low << 1
+        out[w_in + 1] = out[w_in + 1] & ~(1 << sink) | low
+        inn[w_in + 1] = 1 << sink
+        m ^= low
 
-    flow = 0
-    if limit > 0 and out[source] >> sink & 1:
-        push(source, sink)
-        flow += 1
-    for w_in in _bits(out[source] & out[sink + 1]):
-        if flow >= limit:
-            return flow
-        push(source, w_in)
-        push(w_in, w_in + 1)
-        push(w_in + 1, sink)
+    ends = inn[sink] >> 1
+    m = out[source]
+    while m and ends and flow < limit:
+        low = m & -m
+        x_in = low.bit_length() - 1
+        m ^= low
+        hit = out[x_in + 1] & ends
+        if not hit:
+            continue
+        y = hit & -hit
+        y_in = y.bit_length() - 1
+        ends ^= y
+        out[source] ^= low
+        inn[source] |= low
+        out[x_in] = 1 << source
+        inn[x_in] = inn[x_in] & ~(1 << source) | low << 1
+        out[x_in + 1] = out[x_in + 1] & ~y | low
+        inn[x_in + 1] = y
+        out[y_in] = low << 1
+        inn[y_in] = inn[y_in] & ~(low << 1) | y << 1
+        out[y_in + 1] = out[y_in + 1] & ~(1 << sink) | y
+        inn[y_in + 1] = 1 << sink
+        out[sink] |= y << 1
+        inn[sink] ^= y << 1
         flow += 1
 
     while flow < limit:
@@ -258,7 +304,10 @@ def _vertex_capacity_max_flow(
         for level in reversed(levels):
             m = inn[v] & level
             u = (m & -m).bit_length() - 1
-            push(u, v)
+            out[u] &= ~(1 << v)
+            inn[v] &= ~(1 << u)
+            out[v] |= 1 << u
+            inn[u] |= 1 << v
             v = u
         flow += 1
     return flow
@@ -293,6 +342,8 @@ def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> in
     least of delta, the path counts from v to its non-neighbours and
     those between non-adjacent pairs of its neighbours: about
     n - delta - 1 + C(delta, 2) flows, each capped at the best seen.
+    A connected graph on two or more vertices has kappa >= 1, so a cap
+    of at most 1 (from delta or ``upper_bound``) needs no flow at all.
     """
     n = g.n
     if n <= 1:
@@ -304,6 +355,8 @@ def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> in
     best = adj[v].bit_count()
     if upper_bound is not None and upper_bound < best:
         best = upper_bound
+    if best <= 1:
+        return best
     base = _split_digraph(g)
     full = (1 << n) - 1
     for w in _bits(full & ~adj[v] & ~(1 << v)):

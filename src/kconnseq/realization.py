@@ -111,11 +111,11 @@ def _verified_step(g: SimpleGraph, k: int) -> ChainStep:
 def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
     """Walk from the k-regular base to epsilon_target edges, one per step.
 
-    Each step adds the missing edge joining two vertices of currently
-    minimum degree (ties broken by lowest label pair), so each sequence is
-    the previous one with two terms incremented.  Every graph in the chain
-    is verified k-connected.  Below the target, which is at most C(n,2),
-    some edge is always missing.
+    Each step adds the missing edge whose sorted end degrees are least,
+    ties broken by lowest label pair, so each sequence is the previous
+    one with two terms incremented.  Every graph in the chain is verified
+    k-connected.  Below the target, which is at most C(n,2), some edge is
+    always missing.
     """
     base = base_k_regular(n, k)
     lo, hi = base.edge_count, comb(n, 2)
@@ -124,22 +124,45 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
             f"epsilon target {epsilon_target} outside feasible range"
             f" [{lo}, {hi}] for n = {n}, k = {k}"
         )
-    full = (1 << n) - 1
     adj = list(base._adj)
+    # by_degree[d]: the vertices of degree d
+    by_degree = [0] * n
+    for v, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << v
     steps = [_verified_step(base, k)]
     for _ in range(lo, epsilon_target):
-        degs = [row.bit_count() for row in adj]
-        # the missing pairs in ascending order, so ties go to the lowest pair
-        missing = (
-            (a, a + 1 + b)
-            for a in range(n)
-            for b in _bits((full ^ adj[a]) >> (a + 1))
-        )
-        a, b = min(missing, key=lambda e: sorted((degs[e[0]], degs[e[1]])))
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+        a, b = _least_degree_pair(adj, by_degree)
+        for v, w in ((a, b), (b, a)):
+            d = adj[v].bit_count()
+            by_degree[d] ^= 1 << v
+            by_degree[d + 1] |= 1 << v
+            adj[v] |= 1 << w
         steps.append(_verified_step(SimpleGraph._from_masks(n, adj), k))
     return steps
+
+
+def _least_degree_pair(adj: list[int], by_degree: list[int]) -> tuple[int, int]:
+    """The missing pair (a, b), a < b, least by its sorted end degrees,
+    then by (a, b); some pair must be missing.
+
+    Let d1 be the least degree with a vertex that misses an edge.  Every
+    vertex a vertex of degree d1 misses has degree >= d1 (a lower one
+    would have come first), so the least pair has degrees d1 and d2, the
+    least degree in the union of what the degree-d1 vertices miss.
+    """
+    full = (1 << len(adj)) - 1
+    for d1, low in enumerate(by_degree):
+        missed = 0
+        for v in _bits(low):
+            missed |= full ^ adj[v] ^ 1 << v
+        if missed:
+            break
+    high = next(m for m in by_degree[d1:] if m & missed)
+    for a in _bits(low | high):
+        # the other class's vertices above a that a misses
+        partners = (high if low >> a & 1 else low) & ~adj[a] >> (a + 1) << (a + 1)
+        if partners:
+            return a, (partners & -partners).bit_length() - 1
 
 
 def witness_sequence(n: int, k: int) -> DegreeSequence:

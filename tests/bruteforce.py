@@ -253,3 +253,21 @@ def is_maximally_non_k_connected(n: int, edges, k: int) -> bool:
     return all(
         k_connected(edges + [e]) for e in all_pairs(n) if e not in present
     )
+
+
+def min_degree_chain(n: int, edges, steps: int) -> list[tuple[int, int]]:
+    """The pairs an augmentation chain adds to the graph (n, edges), one
+    per step: each time the missing pair whose sorted end degrees are
+    least, ties to the lowest (a, b), by one sort key per missing pair.
+    """
+    present = {tuple(sorted(e)) for e in edges}
+    degs = degree_vector(n, present)
+    added = []
+    for _ in range(steps):
+        missing = [e for e in all_pairs(n) if e not in present]
+        a, b = min(missing, key=lambda e: sorted((degs[e[0]], degs[e[1]])))
+        present.add((a, b))
+        degs[a] += 1
+        degs[b] += 1
+        added.append((a, b))
+    return added

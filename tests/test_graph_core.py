@@ -60,13 +60,18 @@ def mid_size_graphs(draw):
 
 @st.composite
 def flow_cases(draw):
-    """(graph, a, b, cap) on 2..20 vertices, with ab an edge or not."""
-    n = draw(st.integers(2, 20))
-    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
+    """(graph, a, b, cap) on 2..30 vertices, with ab an edge or not, and
+    sometimes with every common neighbour of a and b cut away from b, so
+    that the paths a-x-y-b carry the flow."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     ab = (min(a, b), max(a, b))
     edges = [e for e in bruteforce.random_edges(n, rng, p) if e != ab]
+    if draw(st.booleans()):
+        near_a = {v for e in edges if a in e for v in e}
+        edges = [e for e in edges if b not in e or not near_a & set(e)]
     if draw(st.booleans()):
         edges.append(ab)
     cap = draw(st.one_of(st.none(), st.integers(0, n)))
@@ -237,6 +242,30 @@ class TestMengerPathCounts:
         assert got == bruteforce.vertex_capacity_max_flow(ref, a, b, cap)
         assert base == (out, inn)
 
+    def test_greedy_short_path_is_rerouted(self):
+        # 0 and 5 share no neighbour.  The greedy pass routes 0-1-3-5 (1 is
+        # the first x, 3 its first y), which leaves 2 no free y; the BFS
+        # path 0-2-3-1-4-5 cancels the arc 1 -> 3, leaving 0-2-3-5 and
+        # 0-1-4-5.
+        g = SimpleGraph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+        assert internally_disjoint_path_count(g, 0, 5) == 2
+        assert bruteforce.min_separator(6, list(g.edges()), 0, 5) == 2
+
+    def test_settled_flows_copy_nothing(self):
+        class NoCopy(list):
+            def copy(self):
+                raise AssertionError("a settled flow copied its base")
+
+        # K5 less the edge 0-1: the three common neighbours reach cap 3;
+        # with the edge 0-1 back, the direct arc and two of them reach 3.
+        for g in (SimpleGraph(5, [e for e in bruteforce.all_pairs(5) if e != (0, 1)]),
+                  complete_graph(5)):
+            out, inn = _split_digraph(g)
+            base = (NoCopy(out), NoCopy(inn))
+            assert _vertex_capacity_max_flow(base, 0, 1, cap=3) == 3
+            assert _vertex_capacity_max_flow(base, 0, 1, cap=0) == 0
+            assert base == (out, inn)
+
     @given(graph_strategy(max_n=7))
     @settings(max_examples=60, deadline=None)
     def test_path_counts_match_removal_sets(self, g):
@@ -283,6 +312,14 @@ class TestAgainstBruteForce:
         kappa = bruteforce.vertex_connectivity(g.n, edges)
         assert vertex_connectivity(g) == kappa
         for u in range(g.n + 1):
+            assert vertex_connectivity(g, upper_bound=u) == min(kappa, u)
+
+    @given(graph_strategy(max_n=8))
+    @settings(max_examples=120, deadline=None)
+    def test_caps_of_one_need_only_connectivity(self, g):
+        assert is_k_connected(g, 1) == (g.n >= 2 and is_connected(g))
+        kappa = bruteforce.vertex_connectivity(g.n, sorted(g.edges()))
+        for u in (0, 1):
             assert vertex_connectivity(g, upper_bound=u) == min(kappa, u)
 
     @given(mid_size_graphs())

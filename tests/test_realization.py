@@ -130,6 +130,21 @@ class TestAugmentChain:
             diff = sum(cur.sequence.terms) - sum(prev.sequence.terms)
             assert diff == 2
 
+    def test_matches_the_sort_key_rule(self):
+        """Every chain adds the pairs the one-key-per-missing-pair rule
+        picks, at every feasible target."""
+        for n in range(3, 15):
+            for k in range(2, n):
+                base = base_k_regular(n, k)
+                lo, hi = base.edge_count, n * (n - 1) // 2
+                pairs = bruteforce.min_degree_chain(n, list(base.edges()), hi - lo)
+                graphs = [base]
+                for a, b in pairs:
+                    graphs.append(SimpleGraph(n, [*graphs[-1].edges(), (a, b)]))
+                for target in range(lo, hi + 1):
+                    steps = augment_chain(n, k, target)
+                    assert [step.graph for step in steps] == graphs[: target - lo + 1]
+
     def test_target_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             augment_chain(5, 2, 4)
