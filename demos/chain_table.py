@@ -25,7 +25,8 @@ print(f"base graph for n={N}, k={K}: {base.edge_count} edges, "
 print()
 
 # Now run the chain all the way to the complete graph and tabulate each
-# step.  Every intermediate graph is verified K-connected as it is built.
+# step.  The base is verified K-connected once; each later graph contains
+# it, and adding an edge never lowers connectivity.
 steps = augment_chain(N, K, comb(N, 2))
 print(f"{'epsilon':>8}  {'kappa':>5}  degree sequence")
 for step in steps:

@@ -104,7 +104,7 @@ def _render_condition_report(report) -> list[str]:
 
 
 def _graph_json(g) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges())]}
+    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 # -- check --------------------------------------------------------------------

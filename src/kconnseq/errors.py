@@ -44,7 +44,7 @@ class TargetOutOfRange(KconnseqError, ValueError):
 class AugmentationStuck(KconnseqError, RuntimeError):
     """An augmentation chain violated an invariant it was meant to keep.
 
-    Raised instead of silently repairing: a chain graph failed its
+    Raised instead of silently repairing: a chain's base graph failed its
     k-connectivity verification, or the greedy realization of a graphic
     sequence ran out of partners.
     """

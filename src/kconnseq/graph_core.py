@@ -130,7 +130,7 @@ class SimpleGraph:
         return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, edges={sorted(self.edges())})"
+        return f"SimpleGraph(n={self.n}, edges={list(self.edges())})"
 
 
 def _bits(mask: int) -> Iterator[int]:

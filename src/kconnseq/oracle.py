@@ -453,8 +453,9 @@ def all_degree_sequences(n: int) -> Iterator[DegreeSequence]:
     This is the audit universe: it includes sequences the predicates
     reject, so both directions of each equivalence get exercised.
     """
-    for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
-        yield DegreeSequence(terms)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return map(DegreeSequence, combinations_with_replacement(range(n - 1, 0, -1), n))
 
 
 def _profile_worker(args: tuple[tuple[int, ...], int]) -> tuple[int, int, int]:

@@ -13,13 +13,12 @@ Three construction families live here:
   forcing them.  At n = k+3 no realization is k-connected, and G2 is
   (k-1)-connected like G1.
 
-Only augment_chain verifies its graphs at run time: every chain graph
-is checked k-connected, and a failure raises AugmentationStuck rather
-than returning a quietly wrong graph.  realize_k_connected starts its
-local search from a Havel-Hakimi realization that is connected by
-construction whenever the sequence has a connected realization at all
-(the proof is in _havel_hakimi), and measures connectivity at every
-step.
+Only augment_chain verifies a graph at run time: it checks its base
+once, as every later chain graph contains the base, and a failure raises
+AugmentationStuck rather than returning a quietly wrong chain.
+realize_k_connected starts its local search from a Havel-Hakimi
+realization, connected by construction whenever some realization is
+(the proof is in _havel_hakimi), and measures connectivity at every step.
 base_k_regular, build_G1 and build_G2 are closed-form recipes that
 return their graph unchecked; their connectivity is checked by the test
 suite (TestBaseKRegular, TestWitnessGraphs, acceptance criterion 2).
@@ -99,23 +98,18 @@ class ChainStep(NamedTuple):
     graph: SimpleGraph
 
 
-def _verified_step(g: SimpleGraph, k: int) -> ChainStep:
-    if not is_k_connected(g, k):
-        raise AugmentationStuck(
-            f"chain graph with {g.edge_count} edges failed the"
-            f" {k}-connectivity verification"
-        )
-    return ChainStep(degree_sequence(g), g.edge_count, g)
-
-
 def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
     """Walk from the k-regular base to epsilon_target edges, one per step.
 
     Each step adds the missing edge whose sorted end degrees are least,
     ties broken by lowest label pair, so each sequence is the previous
-    one with two terms incremented.  Every graph in the chain is verified
-    k-connected.  Below the target, which is at most C(n,2), some edge is
-    always missing.
+    one with two terms incremented.  Below the target, which is at most
+    C(n,2), some edge is always missing.
+
+    Only the base is checked k-connected: the 1-regular ones on n >= 4,
+    perfect matchings, raise AugmentationStuck.  Each later graph is
+    G + e for a k-connected G: it keeps G's n > k vertices, and a set X
+    that separates G + e separates G, its spanning subgraph, so |X| >= k.
     """
     base = base_k_regular(n, k)
     lo, hi = base.edge_count, comb(n, 2)
@@ -124,12 +118,16 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
             f"epsilon target {epsilon_target} outside feasible range"
             f" [{lo}, {hi}] for n = {n}, k = {k}"
         )
+    if not is_k_connected(base, k):
+        raise AugmentationStuck(
+            f"chain graph with {lo} edges failed the {k}-connectivity verification"
+        )
     adj = list(base._adj)
     # by_degree[d]: the vertices of degree d
     by_degree = [0] * n
     for v, row in enumerate(adj):
         by_degree[row.bit_count()] |= 1 << v
-    steps = [_verified_step(base, k)]
+    graphs = [base]
     for _ in range(lo, epsilon_target):
         a, b = _least_degree_pair(adj, by_degree)
         for v, w in ((a, b), (b, a)):
@@ -137,8 +135,8 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
             by_degree[d] ^= 1 << v
             by_degree[d + 1] |= 1 << v
             adj[v] |= 1 << w
-        steps.append(_verified_step(SimpleGraph._from_masks(n, adj), k))
-    return steps
+        graphs.append(SimpleGraph._from_masks(n, adj))
+    return [ChainStep(degree_sequence(g), lo + i, g) for i, g in enumerate(graphs)]
 
 
 def _least_degree_pair(adj: list[int], by_degree: list[int]) -> tuple[int, int]:

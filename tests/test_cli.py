@@ -106,6 +106,8 @@ def test_module_entry_point_matches_main(capsys, argv):
             ["check", "--seq", "2,2,2", "--k", "1", "--oracle-limit", "11"],
             "--oracle-limit must be within 1..10, got 11",
         ),
+        (["audit", "--theorem", "1", "--n", "-1"], "n must be >= 1, got -1"),
+        (["audit", "--theorem", "1", "--n", "0"], "n must be >= 1, got 0"),
     ],
 )
 def test_flag_range_errors(capsys, argv, line):
@@ -284,6 +286,17 @@ class TestRealize:
             )
         assert (code, out) == (2, "")
         assert err == "error: --n must be within 1..10000, got 10001\n"
+
+    def test_chain_at_size(self, capsys):
+        # Only the base cycle's connectivity is computed; the 40 graphs
+        # above it contain it.
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "realize", "--n", "400", "--k", "2", "--epsilon", "440",
+                "--format", "json",
+            )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["chain"]) == 41
 
     def test_chain_target_out_of_range(self, capsys):
         code, _, err = run(

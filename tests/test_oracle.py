@@ -216,6 +216,17 @@ class TestAuditTheorem1:
         with pytest.raises(TooLarge):
             audit_theorem1(DEFAULT_ENUMERATION_LIMIT + 1, 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            all_degree_sequences(n)
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            audit_theorem1(n, 1)
+
+    def test_one_vertex_universe_is_empty(self):
+        assert list(all_degree_sequences(1)) == []
+        assert audit_theorem1(1, 1).summary == {"comparisons": 0, "discrepancies": 0}
+
     def test_n8_audit_is_quick(self):
         # 585,786 labeled realizations over 3,003 sequences, weighed by
         # twin orbits; the labeled engine took about 20 s here.

@@ -38,6 +38,7 @@ from kconnseq import (
     witness_sequence,
 )
 from kconnseq.graph_core import SimpleGraph, is_connected
+from kconnseq import realization
 from kconnseq.realization import _havel_hakimi
 
 import bruteforce
@@ -118,10 +119,27 @@ class TestAugmentChain:
         ]
 
     def test_every_step_is_verified(self):
-        for step in augment_chain(6, 2, 12):
-            assert is_k_connected(step.graph, 2)
-            assert step.epsilon == step.graph.edge_count
-            assert step.sequence == degree_sequence(step.graph)
+        # removal-set kappa, independent of the flow check on the base
+        for n in range(4, 10):
+            for k in range(2, n):
+                for step in augment_chain(n, k, n * (n - 1) // 2):
+                    edges = list(step.graph.edges())
+                    assert bruteforce.vertex_connectivity(n, edges) >= k
+                    assert step.epsilon == step.graph.edge_count
+                    assert step.sequence == degree_sequence(step.graph)
+
+    def test_one_check_per_chain(self, monkeypatch):
+        calls = []
+
+        def counted(g, k):
+            calls.append(g.edge_count)
+            return is_k_connected(g, k)
+
+        monkeypatch.setattr(realization, "is_k_connected", counted)
+        assert len(augment_chain(7, 3, 15)) == 5
+        assert calls == [11]
+        with pytest.raises(AugmentationStuck):
+            augment_chain(6, 1, 10)
 
     def test_consecutive_steps_increment_two_terms(self):
         steps = augment_chain(7, 3, 15)
