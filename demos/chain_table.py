@@ -25,8 +25,9 @@ print(f"base graph for n={N}, k={K}: {base.edge_count} edges, "
 print()
 
 # Now run the chain all the way to the complete graph and tabulate each
-# step.  The base is verified K-connected once; each later graph contains
-# it, and adding an edge never lowers connectivity.
+# step.  The base is K-connected by Harary's theorem (the proof is in
+# base_k_regular); each later graph contains it, and adding an edge never
+# lowers connectivity.  The kappa column below measures it anyway.
 steps = augment_chain(N, K, comb(N, 2))
 print(f"{'epsilon':>8}  {'kappa':>5}  degree sequence")
 for step in steps:

@@ -46,6 +46,7 @@ from .graph_core import (
     vertex_connectivity,
 )
 from .realization import (
+    MAX_CHAIN_TERMS,
     ChainStep,
     RealizationResult,
     augment_chain,

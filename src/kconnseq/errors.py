@@ -44,9 +44,9 @@ class TargetOutOfRange(KconnseqError, ValueError):
 class AugmentationStuck(KconnseqError, RuntimeError):
     """An augmentation chain violated an invariant it was meant to keep.
 
-    Raised instead of silently repairing: a chain's base graph failed its
-    k-connectivity verification, or the greedy realization of a graphic
-    sequence ran out of partners.
+    Raised instead of silently repairing: a chain's base graph is not
+    k-connected (the 1-regular bases on n >= 4), or the greedy
+    realization of a graphic sequence ran out of partners.
     """
 
 

@@ -332,7 +332,7 @@ def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> in
     Conventions: complete graphs give n - 1, the one-vertex graph gives 0,
     and any disconnected graph gives 0.  ``upper_bound`` caps the answer,
     letting flow searches stop early -- useful when only "is kappa >= k"
-    matters.
+    matters; a negative one raises KOutOfRange.
 
     Esfahanian-Hakimi (Networks 14, 1984): fix v of minimum degree delta
     (lowest label on ties).  kappa <= delta, and a minimum separator S
@@ -345,6 +345,8 @@ def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> in
     A connected graph on two or more vertices has kappa >= 1, so a cap
     of at most 1 (from delta or ``upper_bound``) needs no flow at all.
     """
+    if upper_bound is not None and upper_bound < 0:
+        raise KOutOfRange(f"upper_bound must be >= 0, got {upper_bound}")
     n = g.n
     if n <= 1:
         return 0

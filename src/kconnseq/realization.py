@@ -13,15 +13,15 @@ Three construction families live here:
   forcing them.  At n = k+3 no realization is k-connected, and G2 is
   (k-1)-connected like G1.
 
-Only augment_chain verifies a graph at run time: it checks its base
-once, as every later chain graph contains the base, and a failure raises
-AugmentationStuck rather than returning a quietly wrong chain.
-realize_k_connected starts its local search from a Havel-Hakimi
-realization, connected by construction whenever some realization is
-(the proof is in _havel_hakimi), and measures connectivity at every step.
-base_k_regular, build_G1 and build_G2 are closed-form recipes that
-return their graph unchecked; their connectivity is checked by the test
-suite (TestBaseKRegular, TestWitnessGraphs, acceptance criterion 2).
+One policy covers connectivity: the constructions (base_k_regular,
+augment_chain, build_G1, build_G2) are closed-form recipes whose
+connectivity is proved in their docstrings and checked by the test suite
+(TestBaseKRegular, TestAugmentChain, TestWitnessGraphs, acceptance
+criteria 2 and 4); they compute no connectivity at run time.  Only
+realize_k_connected, a search, measures connectivity at run time: it
+starts from a Havel-Hakimi realization, connected by construction
+whenever some realization is (the proof is in _havel_hakimi), and
+measures kappa at every step.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     KOutOfRange,
     NTooSmall,
     TargetOutOfRange,
+    TooLarge,
 )
 from .graph_core import (
     SimpleGraph,
@@ -48,6 +49,7 @@ from .oracle import DEFAULT_ENUMERATION_LIMIT, _enumerate_masks
 from .sequence_core import DegreeSequence, erdos_gallai_graphic
 
 __all__ = [
+    "MAX_CHAIN_TERMS",
     "ChainStep",
     "RealizationResult",
     "base_k_regular",
@@ -59,6 +61,10 @@ __all__ = [
     "realize_k_connected",
 ]
 
+# Caps rows times n in augment_chain: each row holds an n-term degree
+# sequence and an n-vertex graph, so a chain to C(n, 2) is Theta(n^3).
+MAX_CHAIN_TERMS = 1_000_000
+
 
 def base_k_regular(n: int, k: int) -> SimpleGraph:
     """Circulant base graph: k-regular when n*k is even, else one vertex
@@ -67,6 +73,22 @@ def base_k_regular(n: int, k: int) -> SimpleGraph:
     Each vertex joins its floor(k/2) nearest neighbors on both sides of a
     cycle; odd k adds diameters (n even) or half-diameters with a single
     doubly-covered vertex (n odd).
+
+    Its connectivity is k for k >= 2, 1 for k = 1 with n <= 3, and 0 for
+    k = 1 with n >= 4.  For k >= 2 the graph is Harary's H_{k,n} up to
+    relabeling, and Harary proved kappa(H_{k,n}) = k ("The maximum
+    connectivity of a graph", PNAS 48, 1962); kappa <= k holds anyway, as
+    some vertex has degree k.  For even k, and for odd k with even n, the
+    edges here are exactly Harary's.  For odd k and odd n, Harary adds
+    the chords {i, i + (n+1)/2} for 0 <= i <= (n-1)/2, doubly covering 0;
+    this adds {i, i + h} for 0 <= i <= h, h = (n-1)/2, doubly covering h.
+    The chord {i, i + h} is {j, j + h + 1} with j = i + h, as
+    j + h + 1 = i + n; so the rotation x -> x - h (mod n) takes these
+    chords onto Harary's, and so does the reflection x -> h - x.  Both
+    maps keep cyclic distances, so they fix the floor(k/2) cycle layers.
+    For k = 1 the graph has ceil(n/2) edges: a path on n = 2 or 3
+    vertices, and fewer than the n - 1 a connected graph needs once
+    n >= 4, so it has more than one component.
     """
     if not 1 <= k <= n - 1:
         raise KOutOfRange(f"need 1 <= k <= n-1 = {n - 1}, got k = {k}")
@@ -106,10 +128,12 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
     one with two terms incremented.  Below the target, which is at most
     C(n,2), some edge is always missing.
 
-    Only the base is checked k-connected: the 1-regular ones on n >= 4,
-    perfect matchings, raise AugmentationStuck.  Each later graph is
-    G + e for a k-connected G: it keeps G's n > k vertices, and a set X
-    that separates G + e separates G, its spanning subgraph, so |X| >= k.
+    The base is k-connected except for k = 1 with n >= 4 (the proof is
+    in base_k_regular); those bases raise AugmentationStuck.  Each later
+    graph is G + e for a k-connected G: it keeps G's n > k vertices, and
+    a set X that separates G + e separates G, its spanning subgraph, so
+    |X| >= k.  A chain whose rows hold more than MAX_CHAIN_TERMS sequence
+    terms in all (rows times n) raises TooLarge before any step is built.
     """
     base = base_k_regular(n, k)
     lo, hi = base.edge_count, comb(n, 2)
@@ -118,9 +142,15 @@ def augment_chain(n: int, k: int, epsilon_target: int) -> list[ChainStep]:
             f"epsilon target {epsilon_target} outside feasible range"
             f" [{lo}, {hi}] for n = {n}, k = {k}"
         )
-    if not is_k_connected(base, k):
+    if k == 1 and n >= 4:
         raise AugmentationStuck(
             f"chain graph with {lo} edges failed the {k}-connectivity verification"
+        )
+    rows = epsilon_target - lo + 1
+    if rows * n > MAX_CHAIN_TERMS:
+        raise TooLarge(
+            f"chain of {rows} rows of {n} terms exceeds the cap of"
+            f" {MAX_CHAIN_TERMS} terms"
         )
     adj = list(base._adj)
     # by_degree[d]: the vertices of degree d

@@ -288,8 +288,8 @@ class TestRealize:
         assert err == "error: --n must be within 1..10000, got 10001\n"
 
     def test_chain_at_size(self, capsys):
-        # Only the base cycle's connectivity is computed; the 40 graphs
-        # above it contain it.
+        # No connectivity is computed: the base cycle is 2-connected by
+        # Harary's theorem, and the 40 graphs above it contain it.
         with time_limit(10):
             code, out, err = run(
                 capsys, "realize", "--n", "400", "--k", "2", "--epsilon", "440",
@@ -297,6 +297,27 @@ class TestRealize:
             )
         assert (code, err) == (0, "")
         assert len(json.loads(out)["chain"]) == 41
+
+    def test_chain_at_the_vertex_cap(self, capsys):
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "realize", "--n", "10000", "--k", "2", "--epsilon", "10000",
+                "--format", "json",
+            )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["chain"] == [{"sequence": [2] * 10000, "epsilon": 10000}]
+
+    def test_chain_over_the_terms_cap(self, capsys):
+        # 19,701 rows of 200 terms: refused before any step is built
+        with time_limit(2):
+            code, out, err = run(
+                capsys, "realize", "--n", "200", "--k", "2", "--epsilon", "19900"
+            )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: chain of 19701 rows of 200 terms exceeds the cap of"
+            " 1000000 terms\n"
+        )
 
     def test_chain_target_out_of_range(self, capsys):
         code, _, err = run(

@@ -179,6 +179,13 @@ class TestConnectivityKnownValues:
         assert vertex_connectivity(g, upper_bound=3) == 3
         assert vertex_connectivity(g, upper_bound=99) == 5
 
+    def test_negative_upper_bound_rejected(self):
+        # checked first: a disconnected graph would otherwise give 0
+        for g in (complete_graph(6), SimpleGraph(4, [(0, 1), (2, 3)])):
+            with pytest.raises(KOutOfRange, match="upper_bound must be >= 0, got -3"):
+                vertex_connectivity(g, upper_bound=-3)
+            assert vertex_connectivity(g, upper_bound=0) == 0
+
     def test_separator_through_the_min_degree_vertex(self):
         # Vertex 0 (degree 4, the lowest-labelled minimum) sees 1, 2 of the
         # triangle A = {1, 2, 3} and 4, 5 of the triangle B = {4, 5, 6};

@@ -20,6 +20,7 @@ from kconnseq import (
     KOutOfRange,
     NTooSmall,
     TargetOutOfRange,
+    TooLarge,
     all_degree_sequences,
     augment_chain,
     base_k_regular,
@@ -98,9 +99,22 @@ class TestBaseKRegular:
         # connected, so the kappa = k identity necessarily stops there
         assert vertex_connectivity(base_k_regular(2, 1)) == 1
         assert vertex_connectivity(base_k_regular(3, 1)) == 1
-        for n in range(4, 13):
+        for n in range(4, 41):
             g = base_k_regular(n, 1)
             assert vertex_connectivity(g) == 0
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_chain_is_stuck_iff_the_base_is_not_k_connected(self, n):
+        # augment_chain decides from the closed form below, with no flow
+        for k in range(1, n):
+            base = base_k_regular(n, k)
+            assert vertex_connectivity(base) == (k if k >= 2 or n <= 3 else 0)
+            try:
+                augment_chain(n, k, base.edge_count)
+                stuck = False
+            except AugmentationStuck:
+                stuck = True
+            assert stuck == (not is_k_connected(base, k)), (n, k)
 
 
 class TestAugmentChain:
@@ -128,16 +142,28 @@ class TestAugmentChain:
                     assert step.epsilon == step.graph.edge_count
                     assert step.sequence == degree_sequence(step.graph)
 
-    def test_one_check_per_chain(self, monkeypatch):
-        calls = []
+    def test_chain_computes_no_connectivity(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("augment_chain computed connectivity")
 
-        def counted(g, k):
-            calls.append(g.edge_count)
-            return is_k_connected(g, k)
-
-        monkeypatch.setattr(realization, "is_k_connected", counted)
+        monkeypatch.setattr(realization, "is_k_connected", forbidden)
+        monkeypatch.setattr(realization, "vertex_connectivity", forbidden)
         assert len(augment_chain(7, 3, 15)) == 5
-        assert calls == [11]
+        with pytest.raises(AugmentationStuck) as stuck:
+            augment_chain(6, 1, 10)
+        assert str(stuck.value) == (
+            "chain graph with 3 edges failed the 1-connectivity verification"
+        )
+
+    def test_chain_terms_cap(self, monkeypatch):
+        # rows * n: augment_chain(5, 2, 7) has 3 rows of 5 terms
+        monkeypatch.setattr(realization, "MAX_CHAIN_TERMS", 15)
+        assert len(augment_chain(5, 2, 7)) == 3
+        with pytest.raises(TooLarge, match="4 rows of 5 terms"):
+            augment_chain(5, 2, 8)
+        # the range and stuck checks come first
+        with pytest.raises(TargetOutOfRange):
+            augment_chain(5, 2, 11)
         with pytest.raises(AugmentationStuck):
             augment_chain(6, 1, 10)
 
