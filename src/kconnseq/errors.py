@@ -34,7 +34,8 @@ class KOutOfRange(KconnseqError, ValueError):
 
 
 class NTooSmall(KconnseqError, ValueError):
-    """Witness constructions need n >= k+3."""
+    """A vertex or sequence count fell below its minimum: witness
+    constructions need n >= k+3, and no count may be negative."""
 
 
 class TargetOutOfRange(KconnseqError, ValueError):
@@ -45,8 +46,7 @@ class AugmentationStuck(KconnseqError, RuntimeError):
     """An augmentation chain violated an invariant it was meant to keep.
 
     Raised instead of silently repairing: a chain's base graph is not
-    k-connected (the 1-regular bases on n >= 4), or the greedy
-    realization of a graphic sequence ran out of partners.
+    k-connected (the 1-regular bases on n >= 4).
     """
 
 

@@ -9,13 +9,14 @@ SimpleGraph._from_masks.
 Connectivity is computed the Menger way: the number of internally disjoint
 a-b paths equals the max flow between a and b after splitting every
 internal vertex into an in/out pair joined by a unit-capacity arc.
-Each flow runs in three steps.  Settle: when the direct edge ab, if any,
-and the common neighbours of a and b already reach the cap, the answer
-is read from the masks with nothing copied.  Route: otherwise those
-paths, then disjoint paths a-x-y-b picked greedily, are routed with no
-search.  Search: the remaining augmenting paths come from a
-level-synchronous BFS that ORs together the out-arc masks of a whole
-frontier at once, and walk back through the in-arc masks.
+The direct edge ab, if any, and the paths a-w-b through the common
+neighbours w of a and b belong to some maximum path system, so each
+flow counts them and routes none.  Settle: when that count reaches the
+cap, the answer is read from the masks with nothing copied.  Route:
+otherwise disjoint paths a-x-y-b that avoid those paths are picked
+greedily with no search.  Search: the remaining augmenting paths come
+from a level-synchronous BFS that ORs together the out-arc masks of a
+whole frontier at once, and walk back through the in-arc masks.
 vertex_connectivity picks its flow pairs by
 Esfahanian-Hakimi: from a vertex v of minimum degree to each
 non-neighbour, then between each non-adjacent pair of v's neighbours,
@@ -29,6 +30,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DuplicateEdge,
     KOutOfRange,
+    NTooSmall,
     SameVertex,
     SelfLoop,
     TooLarge,
@@ -60,7 +62,7 @@ class SimpleGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+            raise NTooSmall(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
             raise TooLarge(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
         adj = [0] * n
@@ -208,25 +210,30 @@ def _vertex_capacity_max_flow(
     and its value is the number of internally disjoint paths.  ``cap``
     stops early once that many paths are found.
 
-    The flow is built in three steps, and each hands the next a feasible
-    flow, from which Ford-Fulkerson still reaches the maximum.
+    Some maximum system of internally disjoint paths holds the edge ab,
+    when there is one, and a-w-b for every common neighbour w: a path
+    through w can be cut down to a-w-b, and an unused w or edge ab would
+    add a path.  So those paths are counted, not routed, and the rest
+    of the flow is found in the graph without them, in three steps; each
+    hands the next a feasible flow, from which Ford-Fulkerson still
+    reaches the maximum.
 
-    * Settle: the direct arc a_out -> b_in, when ab is an edge, and the
-      paths a_out -> w_in -> w_out -> b_in through the common neighbours
-      w are disjoint, so when they reach ``cap`` the answer is ``cap``,
-      read from the base masks before anything is copied.
-    * Route: otherwise copy both lists and route all of those paths,
-      then greedily the paths a -> x -> y -> b with x an unused
+    * Settle: when the count reaches ``cap`` the answer is ``cap``, read
+      from the base masks before anything is copied.
+    * Route: otherwise copy both lists, delete the direct arc, and
+      greedily route the paths a -> x -> y -> b with x an unused
       neighbour of a, y an unused neighbour of b and xy an edge, with no
       search.  The x come from the source's residual out-mask and the y
-      from the sink's residual in-mask, so a, b and the common
-      neighbours are never chosen, and no x is ever a y (it would be a
-      common neighbour); each y is taken from the end set once used.
+      from the sink's residual in-mask, both less the common
+      neighbours, so a, b and the common neighbours are never chosen,
+      and no x is ever a y (it would be a common neighbour); each y is
+      taken from the end set once used.
     * Search: each further augmenting path comes from a level-synchronous
       bitset BFS over the residual digraph: a level is the union of the
       out-masks of the level before, less the nodes already seen, and
-      the search stops at the level holding the sink.  The path is
-      walked back from the sink through ``inn[v] & level``.
+      the search stops at the level holding the sink.  Both split nodes
+      of every common neighbour count as seen from the start.  The path
+      is walked back from the sink through ``inn[v] & level``.
     """
     out, inn = base
     source = 2 * a + 1
@@ -240,25 +247,8 @@ def _vertex_capacity_max_flow(
 
     out = out.copy()
     inn = inn.copy()
-    if direct:
-        out[source] ^= 1 << sink
-        inn[source] |= 1 << sink
-        out[sink] |= 1 << source
-        inn[sink] ^= 1 << source
-    out[source] ^= common
-    inn[source] |= common
-    out[sink] |= common << 1
-    inn[sink] &= ~(common << 1)
-    m = common
-    while m:
-        low = m & -m
-        w_in = low.bit_length() - 1
-        out[w_in] = 1 << source
-        inn[w_in] = inn[w_in] & ~(1 << source) | low << 1
-        out[w_in + 1] = out[w_in + 1] & ~(1 << sink) | low
-        inn[w_in + 1] = 1 << sink
-        m ^= low
-
+    out[source] &= ~(1 << sink | common)
+    inn[sink] &= ~(1 << source | common << 1)
     ends = inn[sink] >> 1
     m = out[source]
     while m and ends and flow < limit:
@@ -287,7 +277,8 @@ def _vertex_capacity_max_flow(
 
     while flow < limit:
         levels = []
-        frontier = seen = 1 << source
+        frontier = 1 << source
+        seen = frontier | common | common << 1
         while not frontier >> sink & 1:
             levels.append(frontier)
             reach = 0
@@ -316,8 +307,8 @@ def _vertex_capacity_max_flow(
 def internally_disjoint_path_count(g: SimpleGraph, a: int, b: int) -> int:
     """Maximum number of a-b paths sharing no internal vertices.
 
-    Endpoints may be adjacent: the arc a_out -> b_in of the split digraph
-    carries the direct edge as one path, which no separator can cut.
+    Endpoints may be adjacent: the direct edge is counted as one path,
+    which no separator can cut.
     """
     g._check_vertex(a)
     g._check_vertex(b)
@@ -348,8 +339,6 @@ def vertex_connectivity(g: SimpleGraph, *, upper_bound: int | None = None) -> in
     if upper_bound is not None and upper_bound < 0:
         raise KOutOfRange(f"upper_bound must be >= 0, got {upper_bound}")
     n = g.n
-    if n <= 1:
-        return 0
     if not is_connected(g):
         return 0
     adj = g._adj

@@ -43,7 +43,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import TooLarge
+from .errors import KOutOfRange, NTooSmall, TooLarge
 from .graph_core import SimpleGraph, _bits, _component, complete_graph
 from .sequence_core import (
     DegreeSequence,
@@ -383,7 +383,7 @@ def oracle_verdict(
     Connectivity checks stop once both booleans are settled.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise KOutOfRange(f"k must be >= 1, got {k}")
     if len(s) > limit:
         raise TooLarge(f"phi = {len(s)} exceeds enumeration limit {limit}")
     n = len(s)
@@ -425,9 +425,9 @@ def oracle_max_edges_non_k_connected(
     the min-degree constraint is unsatisfiable on n vertices).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise NTooSmall(f"n must be >= 1, got {n}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise KOutOfRange(f"k must be >= 1, got {k}")
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
     max_edges = comb(n, 2)
@@ -454,7 +454,7 @@ def all_degree_sequences(n: int) -> Iterator[DegreeSequence]:
     reject, so both directions of each equivalence get exercised.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise NTooSmall(f"n must be >= 1, got {n}")
     return map(DegreeSequence, combinations_with_replacement(range(n - 1, 0, -1), n))
 
 
@@ -487,7 +487,7 @@ def _sequence_profiles(
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise KOutOfRange(f"k_max must be >= 1, got {k_max}")
     universe = [s.terms for s in all_degree_sequences(n)]
     tasks = [(terms, k_max) for terms in universe]
     results = _map(_profile_worker, tasks, jobs, chunksize=16)
@@ -552,10 +552,16 @@ def audit_theorem1(
     exhaustive truth; disagreements become report entries.
     """
     profiles = _sequence_profiles(n, k_max, limit, jobs)
+    # Only k < n is evaluated.  For k >= n a term is at most n - 1 < k, so
+    # min_degree fails and both theorems claim false; kappa <= n - 1 < k,
+    # so both observations are false; and 2(C(n-2, 2) + 2k - 1) >=
+    # n^2 - n + 4 > n(n - 1) >= the degree sum, so no sequence sits on
+    # theorem 2's bound.  Those comparisons all agree, and are counted.
+    k_top = min(k_max, n - 1)
     entries = []
     for terms, count, _lo, hi in profiles:
         s = DegreeSequence(terms)
-        for k in range(1, k_max + 1):
+        for k in range(1, k_top + 1):
             claimed = theorem1_check(s, k).verdict
             observed = count > 0 and hi >= k
             if claimed != observed:
@@ -596,6 +602,7 @@ def audit_theorem2(
     ``boundary`` annex regardless of agreement.
     """
     profiles = _sequence_profiles(n, k_max, limit, jobs)
+    k_top = min(k_max, n - 1)  # see audit_theorem1
     entries = []
     boundary = []
     comparisons = 0
@@ -604,11 +611,11 @@ def audit_theorem2(
             continue
         s = DegreeSequence(terms)
         dsum = sum(terms)
-        for k in range(1, k_max + 1):
+        comparisons += k_max
+        for k in range(1, k_top + 1):
             report = theorem2_check(s, k)
             claimed = report.verdict
             observed = lo >= k
-            comparisons += 1
             if claimed != observed:
                 entries.append(
                     {
@@ -723,7 +730,7 @@ def audit_corollary(
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise KOutOfRange(f"k must be >= 1, got {k}")
     threshold = corollary_threshold(n, k)
     max_edges = comb(n, 2)
     found = _corollary_violators(n, k, threshold, enforce_min_degree, jobs)

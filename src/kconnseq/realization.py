@@ -350,13 +350,7 @@ def _havel_hakimi(s: DegreeSequence) -> SimpleGraph:
     while live:
         live.sort(key=lambda u: (-residual[u], u))
         v = live.pop()
-        partners = live[: residual[v]]
-        if len(partners) < residual[v]:
-            raise AugmentationStuck(
-                "degree reduction failed on a sequence that passed the"
-                " graphicality test"
-            )
-        for u in partners:
+        for u in live[: residual[v]]:
             adj[v] |= 1 << u
             adj[u] |= 1 << v
             residual[u] -= 1

@@ -24,7 +24,7 @@ from functools import total_ordering
 from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import EmptySequence, NonPositiveTerm
+from .errors import EmptySequence, KOutOfRange, NonPositiveTerm, NTooSmall
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -218,7 +218,7 @@ class ConditionReport(NamedTuple):
 def _theorem1_parts(s: DegreeSequence, k: int):
     """Validate k; return theorem 1's pair, four checks and thresholds."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise KOutOfRange(f"k must be >= 1, got {k}")
     pair = associated_pair(s)
     phi, dsum = pair.phi, pair.degree_sum
     eps = pair.epsilon_str()
@@ -293,9 +293,9 @@ def corollary_threshold(n: int, k: int) -> int:
     n^2 - 5n is even; identical to C(n-2, 2) + 2k.
     """
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise NTooSmall(f"n must be >= 2, got {n}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise KOutOfRange(f"k must be >= 1, got {k}")
     return comb(n - 2, 2) + 2 * k
 
 

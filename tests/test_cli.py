@@ -476,6 +476,18 @@ class TestAudit:
         )
         jsonschema.validate(json.loads(out), load_schema("discrepancy_report"))
 
+    def test_kmax_past_n_is_counted_not_evaluated(self, capsys):
+        # Every comparison with k >= n agrees (see oracle.audit_theorem1).
+        argv = ("audit", "--theorem", "2", "--n", "8", "--format", "json")
+        with time_limit(10):
+            code, out, err = run(capsys, *argv, "--kmax", "1000000000")
+        assert (code, err) == (3, "")
+        huge = json.loads(out)
+        small = json.loads(run(capsys, *argv, "--kmax", "7")[1])
+        assert huge["entries"] == small["entries"]
+        assert huge["boundary"] == small["boundary"]
+        assert huge["summary"]["comparisons"] == 871 * 10**9
+
     def test_oversized_n_rejected(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "1", "--n", "11")
         assert code == 2

@@ -4,6 +4,7 @@ The flow-based vertex_connectivity here is cross-examined against the
 brute-force removal search in bruteforce.py on every random graph.
 """
 
+import itertools
 import pickle
 import random
 
@@ -248,6 +249,31 @@ class TestMengerPathCounts:
         got = _vertex_capacity_max_flow(base, a, b, cap)
         assert got == bruteforce.vertex_capacity_max_flow(ref, a, b, cap)
         assert base == (out, inn)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_flow_matches_the_reference_on_every_small_graph(self, n):
+        pairs = bruteforce.all_pairs(n)
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            base = _split_digraph(SimpleGraph(n, edges))
+            ref = bruteforce.split_digraph(n, edges)
+            for a, b in itertools.permutations(range(n), 2):
+                for cap in (None, 1, 2, 3):
+                    assert _vertex_capacity_max_flow(base, a, b, cap) == (
+                        bruteforce.vertex_capacity_max_flow(ref, a, b, cap)
+                    ), (edges, a, b, cap)
+
+    def test_common_neighbours_stay_out_of_the_search(self):
+        # 2 is the only common neighbour of 0 and 1.  A search that may
+        # enter its nodes finds 0-3-2-1 as a second path through 2.
+        g = SimpleGraph(4, [(0, 2), (1, 2), (0, 3), (2, 3)])
+        assert internally_disjoint_path_count(g, 0, 1) == 1
+
+    def test_direct_arc_gives_no_greedy_end(self):
+        # Left in the sink's in-mask, the arc 0_out -> 1_in would make 0's
+        # own in-node an end, and the greedy step would count 0-2-0-1.
+        g = SimpleGraph(3, [(0, 1), (0, 2)])
+        assert internally_disjoint_path_count(g, 0, 1) == 1
 
     def test_greedy_short_path_is_rerouted(self):
         # 0 and 5 share no neighbour.  The greedy pass routes 0-1-3-5 (1 is
