@@ -15,11 +15,13 @@ from .errors import (
     EmptySequence,
     KconnseqError,
     KOutOfRange,
+    NonIntegerTerm,
     NonPositiveTerm,
     NTooSmall,
     SameVertex,
     SelfLoop,
     TargetOutOfRange,
+    TermsNotSorted,
     TooLarge,
     VertexOutOfRange,
 )

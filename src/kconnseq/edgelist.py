@@ -12,15 +12,17 @@ Grammar (UTF-8, line-oriented):
 * blank lines are ignored.
 
 Parsing is strict -- duplicate edges, loops, label/count conflicts, and a
-second ``# n=`` header are errors carrying the 1-based line number.
+second ``# n=`` header are errors carrying the 1-based line number.  It
+takes one pass, setting each edge's two bits in adjacency rows that grow
+with the largest label, never past MAX_VERTICES.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import EdgeListParseError
-from .graph_core import SimpleGraph, _bits
+from .errors import EdgeListParseError, TooLarge
+from .graph_core import MAX_VERTICES, SimpleGraph, _bits
 
 __all__ = ["parse_edge_list", "read_edge_list", "format_edge_list", "write_edge_list"]
 
@@ -28,48 +30,54 @@ _EDGE_LINE = re.compile(r"^([0-9]+) ([0-9]+)$")
 _HEADER_LINE = re.compile(r"^#\s*n=([0-9]+)\s*$")
 
 
+def _numbers(match: re.Match, lineno: int) -> list[int]:
+    try:
+        return list(map(int, match.groups()))
+    except ValueError:  # beyond int()'s digit limit
+        raise EdgeListParseError(lineno, "number too long") from None
+
+
 def parse_edge_list(text: str) -> SimpleGraph:
     declared_n = None
-    edges: list[tuple[int, int, int]] = []  # (a, b, line_number)
-    seen: set[tuple[int, int]] = set()
+    adj: list[int] = []  # rows 0..min(largest label, MAX_VERTICES - 1)
+    over: set[tuple[int, int]] = set()  # edges with a label >= MAX_VERTICES
+    peaks = [(-1, 0)]  # (label, line) at each new largest label: the first >= n is one
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        if not (line := raw.strip()):
             continue
         if line.startswith("#"):
-            header = _HEADER_LINE.match(line)
-            if header:
+            if header := _HEADER_LINE.match(line):
                 if declared_n is not None:
                     raise EdgeListParseError(lineno, "second n= header")
-                try:
-                    declared_n = int(header.group(1))
-                except ValueError:  # beyond int()'s digit limit
-                    raise EdgeListParseError(lineno, "number too long") from None
+                declared_n = _numbers(header, lineno)[0]
             continue
-        m = _EDGE_LINE.match(line)
-        if not m:
+        if not (m := _EDGE_LINE.match(line)):
             raise EdgeListParseError(
                 lineno, f"expected 'a b' with two decimal labels, got {line!r}"
             )
-        try:
-            a, b = int(m.group(1)), int(m.group(2))
-        except ValueError:  # beyond int()'s digit limit
-            raise EdgeListParseError(lineno, "number too long") from None
+        a, b = _numbers(m, lineno)
         if a == b:
             raise EdgeListParseError(lineno, f"self-loop {a} {b}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        lo, hi = (a, b) if a < b else (b, a)
+        if hi > peaks[-1][0]:
+            peaks.append((hi, lineno))
+            adj += [0] * (min(hi + 1, MAX_VERTICES) - len(adj))
+        if hi < MAX_VERTICES:
+            dup = adj[lo] >> hi & 1
+            adj[lo] |= 1 << hi
+            adj[hi] |= 1 << lo
+        else:
+            dup = (lo, hi) in over
+            over.add((lo, hi))
+        if dup:
             raise EdgeListParseError(lineno, f"duplicate edge {a} {b}")
-        seen.add(key)
-        edges.append((key[0], key[1], lineno))
-    max_label = max((b for _, b, _ in edges), default=-1)
-    n = declared_n if declared_n is not None else max_label + 1
-    for a, b, lineno in edges:
-        if b >= n:
-            raise EdgeListParseError(
-                lineno, f"vertex label {b} exceeds declared n={n}"
-            )
-    return SimpleGraph(n, [(a, b) for a, b, _ in edges])
+    n = peaks[-1][0] + 1 if declared_n is None else declared_n
+    for v, lineno in peaks:
+        if v >= n:
+            raise EdgeListParseError(lineno, f"vertex label {v} exceeds declared n={n}")
+    if n > MAX_VERTICES:
+        raise TooLarge(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+    return SimpleGraph._from_masks(n, adj + [0] * (n - len(adj)))
 
 
 def read_edge_list(path) -> SimpleGraph:

@@ -13,6 +13,14 @@ class NonPositiveTerm(KconnseqError, ValueError):
     """Degree sequences are restricted to positive integers."""
 
 
+class NonIntegerTerm(KconnseqError, TypeError):
+    """Degree terms must be ints."""
+
+
+class TermsNotSorted(KconnseqError, ValueError):
+    """Degree-sequence terms must be non-increasing; normalize() sorts them."""
+
+
 class SelfLoop(KconnseqError, ValueError):
     """Simple graphs contain no loops."""
 

@@ -24,7 +24,14 @@ from functools import total_ordering
 from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import EmptySequence, KOutOfRange, NonPositiveTerm, NTooSmall
+from .errors import (
+    EmptySequence,
+    KOutOfRange,
+    NonIntegerTerm,
+    NonPositiveTerm,
+    NTooSmall,
+    TermsNotSorted,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,11 +65,11 @@ class DegreeSequence:
             raise EmptySequence("degree sequence must be non-empty")
         for t in terms:
             if not isinstance(t, int):
-                raise TypeError(f"degree terms must be integers, got {t!r}")
+                raise NonIntegerTerm(f"degree terms must be integers, got {t!r}")
             if t <= 0:
                 raise NonPositiveTerm(f"degree terms must be positive, got {t}")
         if any(a < b for a, b in zip(terms, terms[1:])):
-            raise ValueError("terms must be non-increasing; use normalize()")
+            raise TermsNotSorted("terms must be non-increasing; use normalize()")
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):

@@ -3,13 +3,19 @@
 Everything here works on plain (n, edge list) pairs with simple loops,
 shares no code with the package under test, and favours obvious
 correctness over speed.  Keep it that way: these are the referees.
+The one exception is parse_edge_list, which returns the package's
+SimpleGraph, built by its validating constructor.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import combinations
 from math import comb
+
+from kconnseq.errors import EdgeListParseError
+from kconnseq.graph_core import SimpleGraph
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -271,3 +277,55 @@ def min_degree_chain(n: int, edges, steps: int) -> list[tuple[int, int]]:
         degs[b] += 1
         added.append((a, b))
     return added
+
+
+_EDGE_LINE = re.compile(r"^([0-9]+) ([0-9]+)$")
+_HEADER_LINE = re.compile(r"^#\s*n=([0-9]+)\s*$")
+
+
+def parse_edge_list(text: str) -> SimpleGraph:
+    """The two-pass edge-list parser: a regex per line, a set of seen
+    edges and a list of (a, b, line) triples, a label check after the
+    pass, then SimpleGraph(n, edges) validates every edge again.
+    """
+    declared_n = None
+    edges: list[tuple[int, int, int]] = []  # (a, b, line_number)
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            header = _HEADER_LINE.match(line)
+            if header:
+                if declared_n is not None:
+                    raise EdgeListParseError(lineno, "second n= header")
+                try:
+                    declared_n = int(header.group(1))
+                except ValueError:  # beyond int()'s digit limit
+                    raise EdgeListParseError(lineno, "number too long") from None
+            continue
+        m = _EDGE_LINE.match(line)
+        if not m:
+            raise EdgeListParseError(
+                lineno, f"expected 'a b' with two decimal labels, got {line!r}"
+            )
+        try:
+            a, b = int(m.group(1)), int(m.group(2))
+        except ValueError:  # beyond int()'s digit limit
+            raise EdgeListParseError(lineno, "number too long") from None
+        if a == b:
+            raise EdgeListParseError(lineno, f"self-loop {a} {b}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise EdgeListParseError(lineno, f"duplicate edge {a} {b}")
+        seen.add(key)
+        edges.append((key[0], key[1], lineno))
+    max_label = max((b for _, b, _ in edges), default=-1)
+    n = declared_n if declared_n is not None else max_label + 1
+    for a, b, lineno in edges:
+        if b >= n:
+            raise EdgeListParseError(
+                lineno, f"vertex label {b} exceeds declared n={n}"
+            )
+    return SimpleGraph(n, [(a, b) for a, b, _ in edges])

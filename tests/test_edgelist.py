@@ -23,11 +23,25 @@ loose_labels = st.text(
     min_size=1,
     max_size=3,
 )
-# Lines that are often close to the grammar, so fuzzing reaches the
-# header, label and duplicate checks and not only the line pattern.
-_NEAR_LINES = st.one_of(
+# Lines in the grammar, with labels that often repeat and often pass a
+# declared count.
+_GRAMMAR_LINES = st.one_of(
     st.builds("{} {}".format, st.integers(0, 12), st.integers(0, 12)),
     st.builds("# n={}".format, st.integers(0, 14)),
+)
+# The same at and past MAX_VERTICES, up to a label too large for a row
+# of bits.
+_CAP_NUMBERS = st.sampled_from([9_999, 10_000, 10_001, 10**12])
+_CAP_LINES = st.one_of(
+    st.builds("{} {}".format, st.integers(0, 12), _CAP_NUMBERS),
+    st.builds("{} {}".format, _CAP_NUMBERS, _CAP_NUMBERS),
+    st.builds("# n={}".format, _CAP_NUMBERS),
+)
+# Lines that are often close to the grammar, so fuzzing reaches the
+# header, label, duplicate and cap checks and not only the line pattern.
+_NEAR_LINES = st.one_of(
+    _GRAMMAR_LINES,
+    _CAP_LINES,
     st.builds("{} {}".format, loose_labels, loose_labels),
     st.builds("# n={}".format, loose_labels),
     st.sampled_from(["", "   ", "# note", "0  1", "0\t1", "1 x", "1 2 3", "-1 2"]),
@@ -35,6 +49,19 @@ _NEAR_LINES = st.one_of(
 )
 near_edge_lists = st.lists(_NEAR_LINES, max_size=12).map("\n".join)
 fuzz_text = st.one_of(st.text(max_size=200), near_edge_lists)
+grammar_edge_lists = st.one_of(
+    st.lists(_GRAMMAR_LINES, max_size=12).map("\n".join),
+    st.lists(st.one_of(_GRAMMAR_LINES, _CAP_LINES), max_size=12).map("\n".join),
+)
+
+
+def outcome(parse, text):
+    """The graph's rows, or the error's type, message and line."""
+    try:
+        g = parse(text)
+    except (EdgeListParseError, TooLarge) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return g.n, g._adj
 
 
 @st.composite
@@ -108,9 +135,40 @@ class TestParse:
     def test_non_ascii_header_is_a_comment(self):
         assert parse_edge_list("# n=٣\n0 1\n") == SimpleGraph(2, [(0, 1)])
 
+    @given(grammar_edge_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_same_graph_or_first_error_as_the_two_pass_reference(self, text):
+        want = outcome(bruteforce.parse_edge_list, text)
+        assert outcome(parse_edge_list, text) == want
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0 10000\n1 2\n0 10000\n", "duplicate edge 0 10000 at line 3"),
+            (
+                "0 1000000000000\n1000000000000 0\n",
+                "duplicate edge 1000000000000 0 at line 2",
+            ),
+            ("0 10000\n5 5\n", "self-loop 5 5 at line 2"),
+            (
+                "0 10000\n# n=10000\n",
+                "vertex label 10000 exceeds declared n=10000 at line 1",
+            ),
+            ("0 3\n0 10000\n1 2\n", "vertex count 10001 exceeds the cap of 10000"),
+            ("# n=10001\n0 1\n", "vertex count 10001 exceeds the cap of 10000"),
+            ("0 1\n0 4\n0 9\n# n=4\n", "vertex label 4 exceeds declared n=4 at line 2"),
+        ],
+    )
+    def test_errors_past_the_cap_and_after_the_pass(self, text, error):
+        with pytest.raises((EdgeListParseError, TooLarge)) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == error
+
     @given(fuzz_text)
     @settings(max_examples=200, deadline=None)
     def test_fuzzed_text_parses_or_raises_a_parse_error(self, text):
+        want = outcome(bruteforce.parse_edge_list, text)
+        assert outcome(parse_edge_list, text) == want
         try:
             g = parse_edge_list(text)
         except (EdgeListParseError, TooLarge):

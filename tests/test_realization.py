@@ -387,6 +387,32 @@ class TestRealizeKConnected:
             result = realize_k_connected(normalize([4] * 8), 5)
         assert (result.graph, result.method) == (None, "exact")
 
+    def test_swap_search_realizes_every_small_k_connected_pair(self):
+        # Past the oracle, every (s, k) with phi <= 7 that enumeration
+        # realizes k-connected.  The Havel-Hakimi start is already
+        # k-connected for all but a few, such as 4,4,3,3,3,3 with k = 3,
+        # and those run the random 2-swaps.
+        pairs = []
+        for n in range(2, 8):
+            for s in all_degree_sequences(n):
+                for k in range(1, n):
+                    if not oracle_verdict(s, k).exists_k_connected:
+                        break
+                    pairs.append((s, k))
+        assert len(pairs) == 599
+        short = [
+            (s, k)
+            for s, k in pairs
+            if vertex_connectivity(_havel_hakimi(s), upper_bound=k) < k
+        ]
+        assert (normalize([4, 4, 3, 3, 3, 3]), 3) in short
+        assert len(short) == 5
+        for s, k in pairs:
+            result = realize_k_connected(s, k, oracle_limit=0)
+            assert result.found, (s, k)
+            assert degree_sequence(result.graph) == s
+            assert vertex_connectivity(result.graph) >= k, (s, k)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exact_negative_when_k_reaches_phi(self, n):
         # No test of phi > k is needed past the oracle: a graphic s has

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from kconnseq import (
     DegreeSequence,
     EmptySequence,
+    KconnseqError,
+    NonIntegerTerm,
     NonPositiveTerm,
+    TermsNotSorted,
     associated_pair,
     corollary_threshold,
     erdos_gallai_graphic,
@@ -45,6 +48,31 @@ class TestDegreeSequence:
     def test_rejects_increasing_order(self):
         with pytest.raises(ValueError):
             DegreeSequence((1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "terms, error, base, message",
+        [
+            (
+                (1.0,),
+                NonIntegerTerm,
+                TypeError,
+                "degree terms must be integers, got 1.0",
+            ),
+            (
+                (1, 2),
+                TermsNotSorted,
+                ValueError,
+                "terms must be non-increasing; use normalize()",
+            ),
+        ],
+        ids=["non-integer", "increasing"],
+    )
+    def test_errors_are_package_errors(self, terms, error, base, message):
+        with pytest.raises(KconnseqError) as raised:
+            DegreeSequence(terms)
+        assert type(raised.value) is error
+        assert isinstance(raised.value, base)
+        assert str(raised.value) == message
 
     def test_normalize_sorts_descending(self):
         assert normalize([2, 4, 4, 2, 6]).terms == (6, 4, 4, 2, 2)
