@@ -62,6 +62,9 @@ EXIT_DISCREPANCY = 3
 # Shown in audit text summaries before eliding; report files are never cut.
 _TEXT_ENTRY_LIMIT = 50
 
+# The most edges a command may print or write, checked before it builds.
+MAX_OUTPUT_EDGES = 10_000_000
+
 
 def canonical_json(payload: dict) -> str:
     """The one JSON spelling used for every report this tool writes."""
@@ -94,6 +97,11 @@ def _check_range(flag: str, value: int, hi: int | None = None) -> int:
     if value < 1:
         raise KconnseqError(f"{flag} must be >= 1, got {value}")
     return value
+
+
+def _check_output(what: str, edges: int) -> None:
+    if edges > MAX_OUTPUT_EDGES:
+        raise TooLarge(f"{what} needs {edges} edges, over the cap of {MAX_OUTPUT_EDGES}")
 
 
 def _render_condition_report(report) -> list[str]:
@@ -238,6 +246,7 @@ def cmd_realize(args) -> int:
 
     if by_seq:
         s = _parse_sequence(args.seq)
+        _check_output("--seq", s.degree_sum // 2)
         result = realize_k_connected(s, args.k, oracle_limit=limit)
         if not result.found:
             if result.method == "exact":
@@ -255,6 +264,9 @@ def cmd_realize(args) -> int:
     if args.n is None or args.epsilon is None:
         raise KconnseqError("chain mode needs both --n and --epsilon")
     _check_range("--n", args.n, MAX_VERTICES)
+    if args.k < args.n:  # else base_k_regular refuses k before building
+        # The base, of ceil(n*k/2) edges, is built before epsilon is checked.
+        _check_output("chain", max(args.epsilon, (args.n * args.k + 1) // 2))
     try:
         steps = augment_chain(args.n, args.k, args.epsilon)
     except AugmentationStuck as exc:
@@ -273,6 +285,8 @@ def cmd_witness(args) -> int:
     _check_range("--k", args.k)
     _check_range("--n", args.n, MAX_VERTICES)
     s = witness_sequence(args.n, args.k)  # NTooSmall -> exit 2
+    # G1 and G2 each realize s, with half its degree sum in edges.
+    _check_output("witness pair", s.degree_sum)
     g1 = build_G1(args.n, args.k)
     g2 = build_G2(args.n, args.k)
     conn1 = vertex_connectivity(g1)

@@ -39,6 +39,7 @@ sorted, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
@@ -302,14 +303,15 @@ def _violation(adj: Sequence[int], n: int, k: int, enforce: bool) -> int | None:
 def _map(fn, tasks: list, jobs: int | None, chunksize: int = 1) -> list:
     """fn over tasks in submission order; a process pool when jobs > 1.
 
-    An exception or Ctrl-C in the parent cancels the tasks not yet
-    started instead of waiting for them.
+    The pool has at most one worker per CPU: with the fork start method
+    it starts every worker at once.  An exception or Ctrl-C in the parent
+    cancels the tasks not yet started instead of waiting for them.
     """
     if jobs is None or jobs <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     try:
         results = list(pool.map(fn, tasks, chunksize=chunksize))
     except BaseException:
@@ -497,10 +499,6 @@ def _sequence_profiles(
     ]
 
 
-def _universe_dict(n: int, k_max: int, sequence_count: int) -> dict:
-    return {"n": n, "k_max": k_max, "sequence_count": sequence_count}
-
-
 class DiscrepancyReport(NamedTuple):
     """Outcome of sweeping one predicate against enumerated truth.
 
@@ -538,6 +536,56 @@ class DiscrepancyReport(NamedTuple):
         return out
 
 
+def _theorem_rows(
+    check, bounds: list[tuple[tuple[int, ...], int]], n: int, k_max: int
+) -> tuple[list[tuple], int]:
+    """Evaluate one theorem's predicate against enumerated truth.
+
+    ``bounds`` pairs each compared sequence with the kappa-hat bound that
+    decides its claim: true at k exactly when the bound is >= k.  Returns
+    a row (terms, k, claimed, observed, the predicate's thresholds) per
+    sequence and k, and the comparison count; keeping each whole report
+    would cost about 1 KB more per row.
+
+    Only k < n makes a row.  For k >= n a term is at most n - 1 < k, so
+    min_degree fails and both theorems claim false; kappa <= n - 1 < k,
+    so both observations are false; and 2(C(n-2, 2) + 2k - 1) >=
+    n^2 - n + 4 > n(n - 1) >= the degree sum, so no sequence sits on
+    theorem 2's bound.  Those comparisons all agree, and are counted.
+    """
+    rows = []
+    for terms, bound in bounds:
+        s = DegreeSequence(terms)
+        for k in range(1, min(k_max, n - 1) + 1):
+            report = check(s, k)
+            rows.append((terms, k, report.verdict, bound >= k, report.thresholds))
+    return rows, len(bounds) * k_max
+
+
+def _theorem_report(
+    subject: str, n: int, k_max: int, sequence_count: int, rows: list, comparisons: int
+) -> DiscrepancyReport:
+    """The report on _theorem_rows' rows: an entry where claim and truth differ."""
+    entries = [
+        {
+            "theorem": subject,
+            "sequence": list(terms),
+            "k": k,
+            "claimed": claimed,
+            "observed": observed,
+        }
+        for terms, k, claimed, observed, _thresholds in rows
+        if claimed != observed
+    ]
+    entries.sort(key=lambda e: (e["sequence"], e["k"]))
+    return DiscrepancyReport(
+        subject=subject,
+        universe={"n": n, "k_max": k_max, "sequence_count": sequence_count},
+        entries=tuple(entries),
+        summary={"comparisons": comparisons, "discrepancies": len(entries)},
+    )
+
+
 def audit_theorem1(
     n: int,
     k_max: int,
@@ -552,39 +600,10 @@ def audit_theorem1(
     exhaustive truth; disagreements become report entries.
     """
     profiles = _sequence_profiles(n, k_max, limit, jobs)
-    # Only k < n is evaluated.  For k >= n a term is at most n - 1 < k, so
-    # min_degree fails and both theorems claim false; kappa <= n - 1 < k,
-    # so both observations are false; and 2(C(n-2, 2) + 2k - 1) >=
-    # n^2 - n + 4 > n(n - 1) >= the degree sum, so no sequence sits on
-    # theorem 2's bound.  Those comparisons all agree, and are counted.
-    k_top = min(k_max, n - 1)
-    entries = []
-    for terms, count, _lo, hi in profiles:
-        s = DegreeSequence(terms)
-        for k in range(1, k_top + 1):
-            claimed = theorem1_check(s, k).verdict
-            observed = count > 0 and hi >= k
-            if claimed != observed:
-                entries.append(
-                    {
-                        "theorem": "theorem1",
-                        "sequence": list(terms),
-                        "k": k,
-                        "claimed": claimed,
-                        "observed": observed,
-                    }
-                )
-    entries.sort(key=lambda e: (e["sequence"], e["k"]))
-    summary = {
-        "comparisons": len(profiles) * k_max,
-        "discrepancies": len(entries),
-    }
-    return DiscrepancyReport(
-        subject="theorem1",
-        universe=_universe_dict(n, k_max, len(profiles)),
-        entries=tuple(entries),
-        summary=summary,
-    )
+    # hi is 0 for a sequence with no realization, so it observes false.
+    bounds = [(terms, hi) for terms, _count, _lo, hi in profiles]
+    rows, comparisons = _theorem_rows(theorem1_check, bounds, n, k_max)
+    return _theorem_report("theorem1", n, k_max, len(profiles), rows, comparisons)
 
 
 def audit_theorem2(
@@ -602,55 +621,23 @@ def audit_theorem2(
     ``boundary`` annex regardless of agreement.
     """
     profiles = _sequence_profiles(n, k_max, limit, jobs)
-    k_top = min(k_max, n - 1)  # see audit_theorem1
-    entries = []
-    boundary = []
-    comparisons = 0
-    for terms, count, lo, _hi in profiles:
-        if count == 0:
-            continue
-        s = DegreeSequence(terms)
-        dsum = sum(terms)
-        comparisons += k_max
-        for k in range(1, k_top + 1):
-            report = theorem2_check(s, k)
-            claimed = report.verdict
-            observed = lo >= k
-            if claimed != observed:
-                entries.append(
-                    {
-                        "theorem": "theorem2",
-                        "sequence": list(terms),
-                        "k": k,
-                        "claimed": claimed,
-                        "observed": observed,
-                    }
-                )
-            bound = report.thresholds["necessity_bound"]
-            if dsum == 2 * bound:
-                boundary.append(
-                    {
-                        "sequence": list(terms),
-                        "k": k,
-                        "epsilon_bound": bound,
-                        "claimed": claimed,
-                        "observed": observed,
-                    }
-                )
-    entries.sort(key=lambda e: (e["sequence"], e["k"]))
+    bounds = [(terms, lo) for terms, count, lo, _hi in profiles if count]
+    rows, comparisons = _theorem_rows(theorem2_check, bounds, n, k_max)
+    report = _theorem_report("theorem2", n, k_max, len(profiles), rows, comparisons)
+    boundary = [
+        {
+            "sequence": list(terms),
+            "k": k,
+            "epsilon_bound": thresholds["necessity_bound"],
+            "claimed": claimed,
+            "observed": observed,
+        }
+        for terms, k, claimed, observed, thresholds in rows
+        if sum(terms) == 2 * thresholds["necessity_bound"]
+    ]
     boundary.sort(key=lambda e: (e["sequence"], e["k"]))
-    summary = {
-        "comparisons": comparisons,
-        "discrepancies": len(entries),
-        "boundary_cases": len(boundary),
-    }
-    return DiscrepancyReport(
-        subject="theorem2",
-        universe=_universe_dict(n, k_max, len(profiles)),
-        entries=tuple(entries),
-        summary=summary,
-        boundary=tuple(boundary),
-    )
+    summary = {**report.summary, "boundary_cases": len(boundary)}
+    return report._replace(summary=summary, boundary=tuple(boundary))
 
 
 def _corollary_worker(args: tuple[int, int, int, bool, int]) -> list[tuple]:

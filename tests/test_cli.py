@@ -319,6 +319,26 @@ class TestRealize:
             " 1000000 terms\n"
         )
 
+    def test_chain_base_over_the_output_cap(self, capsys):
+        # The base alone has 49,995,000 edges: refused before it is built,
+        # but only once base_k_regular would have accepted k.
+        argv = ("realize", "--n", "10000", "--epsilon", "5", "--k")
+        with time_limit(10):
+            assert run(capsys, *argv, "9999") == (
+                2, "", "error: chain needs 49995000 edges, over the cap of 10000000\n"
+            )
+            assert run(capsys, *argv, "10000") == (
+                2, "", "error: need 1 <= k <= n-1 = 9999, got k = 10000\n"
+            )
+
+    def test_seq_over_the_output_cap(self, capsys):
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "realize", "--seq", ",".join(["9999"] * 10000), "--k", "2"
+            )
+        assert (code, out) == (2, "")
+        assert err == "error: --seq needs 49995000 edges, over the cap of 10000000\n"
+
     def test_chain_target_out_of_range(self, capsys):
         code, _, err = run(
             capsys, "realize", "--n", "5", "--k", "2", "--epsilon", "99"
@@ -392,6 +412,18 @@ class TestWitness:
             )
         assert (code, out) == (2, "")
         assert err == "error: --n must be within 1..10000, got 10001\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pair_over_the_output_cap(self, capsys, tmp_path):
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "witness", "--n", "10000", "--k", "2",
+                "--out-dir", str(tmp_path),
+            )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: witness pair needs 99950012 edges, over the cap of 10000000\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_n_too_small(self, capsys, tmp_path):
@@ -477,7 +509,7 @@ class TestAudit:
         jsonschema.validate(json.loads(out), load_schema("discrepancy_report"))
 
     def test_kmax_past_n_is_counted_not_evaluated(self, capsys):
-        # Every comparison with k >= n agrees (see oracle.audit_theorem1).
+        # Every comparison with k >= n agrees (see oracle._theorem_rows).
         argv = ("audit", "--theorem", "2", "--n", "8", "--format", "json")
         with time_limit(10):
             code, out, err = run(capsys, *argv, "--kmax", "1000000000")
@@ -487,6 +519,9 @@ class TestAudit:
         assert huge["entries"] == small["entries"]
         assert huge["boundary"] == small["boundary"]
         assert huge["summary"]["comparisons"] == 871 * 10**9
+        assert small["summary"] == {
+            "comparisons": 6097, "discrepancies": 764, "boundary_cases": 233
+        }
 
     def test_oversized_n_rejected(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "1", "--n", "11")
@@ -646,6 +681,31 @@ class TestAbnormalEnds:
         )
         assert (code, out, err) == (2, "", "error: interrupted\n")
         assert shutdowns == [(False, True)]
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        # Never more workers than CPUs, however many jobs are asked for.
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        serial = run(capsys, "audit", "--theorem", "1", "--n", "4")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("audit", "--theorem", "1", "--n", "4", "--jobs", "100000")
+        assert run_guarded(capsys, *argv) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_guarded(capsys, *argv) == serial
+        assert sizes == [2, 1]
 
     def test_usage_error_is_one_line(self, capsys):
         code, out, err = call_main(["check", "--seq", "-1,2", "--k", "2"])

@@ -48,16 +48,12 @@ def main(argv: list[str] | None = None) -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
 
     for n in THEOREM_SIZES:
-        report = audit_theorem1(n, THEOREM_KMAX, jobs=args.jobs)
-        write_golden(
-            GOLDEN_DIR / f"theorem1_n{n}_kmax{THEOREM_KMAX}.json",
-            report.to_json_dict(),
-        )
-        report = audit_theorem2(n, THEOREM_KMAX, jobs=args.jobs)
-        write_golden(
-            GOLDEN_DIR / f"theorem2_n{n}_kmax{THEOREM_KMAX}.json",
-            report.to_json_dict(),
-        )
+        for audit in (audit_theorem1, audit_theorem2):
+            report = audit(n, THEOREM_KMAX, jobs=args.jobs)
+            write_golden(
+                GOLDEN_DIR / f"{report.subject}_n{n}_kmax{THEOREM_KMAX}.json",
+                report.to_json_dict(),
+            )
 
     for n, k, enforce in COROLLARY_CASES:
         regime = "mindeg" if enforce else "all"
