@@ -14,8 +14,9 @@ every residual degree, and the completions of the two branches map one
 to one under that relabeling, with equal connectivity.  So only the
 branch that takes the lowest-labeled members of each twin class is
 walked, weighted by prod C(class size, members taken).  A realization
-count is the sum of these weights, exactly the labeled count; min and
-max connectivity come from the representatives alone.
+count is the sum of these weights, exactly the labeled count.  A theorem
+audit reads one side, the greatest or least connectivity, from the
+representatives alone, and stops walking once that side is settled.
 enumerate_realizations still lists every labeled graph.
 
 Connectivity is decided by brute-force vertex-subset removal -- a second,
@@ -460,43 +461,42 @@ def all_degree_sequences(n: int) -> Iterator[DegreeSequence]:
     return map(DegreeSequence, combinations_with_replacement(range(n - 1, 0, -1), n))
 
 
-def _profile_worker(args: tuple[tuple[int, ...], int]) -> tuple[int, int, int]:
-    """(realization count, min kappa-hat, max kappa-hat) for one sequence.
+def _profile_worker(args: tuple[tuple[int, ...], int, bool]) -> int | None:
+    """The least (``least``) or greatest kappa-hat over one sequence's
+    twin-orbit representatives; None when it has no realization.
 
-    kappa-hat is connectivity capped at k_max; min/max are 0 when no
-    realization exists.  The count is the weighted sum over twin-orbit
-    representatives, and kappa-hat is read from the representatives.
+    kappa-hat is kappa capped at k_cap and, changing no value, at the
+    least term delta: K_n has kappa = n - 1 = delta, and otherwise the
+    delta neighbours of a least-degree vertex separate it from a
+    non-neighbour.  The greatest walk stops at that ceiling, the least at
+    0; the least caps each kappa at the least so far, so it tries only
+    smaller separators.
     """
-    terms, k_cap = args
+    terms, k_cap, least = args
     n = len(terms)
-    count = 0
-    lo = hi = 0
-    for adj, weight in _enumerate_masks(terms, twins=True):
-        kap = _kappa_capped(adj, n, k_cap)
-        if count == 0:
-            lo = hi = kap
-        else:
-            lo = min(lo, kap)
-            hi = max(hi, kap)
-        count += weight
-    return count, lo, hi
+    ceiling = min(k_cap, terms[-1])
+    bound, settled = (ceiling, 0) if least else (0, ceiling)
+    found = False
+    for adj, _weight in _enumerate_masks(terms, twins=True):
+        found = True
+        kap = _kappa_capped(adj, n, bound if least else ceiling)
+        bound = min(bound, kap) if least else max(bound, kap)
+        if bound == settled:
+            break
+    return bound if found else None
 
 
 def _sequence_profiles(
-    n: int, k_max: int, limit: int, jobs: int | None
-) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Profile every sequence of length n with kappa capped at k_max."""
+    n: int, k_max: int, limit: int, jobs: int | None, least: bool
+) -> list[tuple[tuple[int, ...], int | None]]:
+    """(terms, _profile_worker's bound) for every sequence of length n."""
     if n > limit:
         raise TooLarge(f"n = {n} exceeds enumeration limit {limit}")
     if k_max < 1:
         raise KOutOfRange(f"k_max must be >= 1, got {k_max}")
     universe = [s.terms for s in all_degree_sequences(n)]
-    tasks = [(terms, k_max) for terms in universe]
-    results = _map(_profile_worker, tasks, jobs, chunksize=16)
-    return [
-        (terms, count, lo, hi)
-        for terms, (count, lo, hi) in zip(universe, results)
-    ]
+    tasks = [(terms, k_max, least) for terms in universe]
+    return list(zip(universe, _map(_profile_worker, tasks, jobs, chunksize=16)))
 
 
 class DiscrepancyReport(NamedTuple):
@@ -599,9 +599,9 @@ def audit_theorem1(
     the claim "some k-connected realization exists" is checked against
     exhaustive truth; disagreements become report entries.
     """
-    profiles = _sequence_profiles(n, k_max, limit, jobs)
-    # hi is 0 for a sequence with no realization, so it observes false.
-    bounds = [(terms, hi) for terms, _count, _lo, hi in profiles]
+    profiles = _sequence_profiles(n, k_max, limit, jobs, least=False)
+    # A sequence with no realization observes false.
+    bounds = [(terms, hi or 0) for terms, hi in profiles]
     rows, comparisons = _theorem_rows(theorem1_check, bounds, n, k_max)
     return _theorem_report("theorem1", n, k_max, len(profiles), rows, comparisons)
 
@@ -620,8 +620,8 @@ def audit_theorem2(
     epsilon sits exactly on the bound C(phi-2,2)+2k-1 land in the
     ``boundary`` annex regardless of agreement.
     """
-    profiles = _sequence_profiles(n, k_max, limit, jobs)
-    bounds = [(terms, lo) for terms, count, lo, _hi in profiles if count]
+    profiles = _sequence_profiles(n, k_max, limit, jobs, least=True)
+    bounds = [(terms, lo) for terms, lo in profiles if lo is not None]
     rows, comparisons = _theorem_rows(theorem2_check, bounds, n, k_max)
     report = _theorem_report("theorem2", n, k_max, len(profiles), rows, comparisons)
     boundary = [

@@ -5,6 +5,7 @@ Every command runs in-process through main(argv).  Exit code contract:
 2 = input error, 3 = audit found discrepancies.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fresh_python(*argv, timeout=30):
@@ -515,13 +520,44 @@ class TestAudit:
             code, out, err = run(capsys, *argv, "--kmax", "1000000000")
         assert (code, err) == (3, "")
         huge = json.loads(out)
-        small = json.loads(run(capsys, *argv, "--kmax", "7")[1])
+        small_out = run(capsys, *argv, "--kmax", "7")[1]
+        assert sha256(small_out) == (
+            "c3c68d94e026845f5dfd1d99cc65c046db16eb01f1d84a2def2be00bac7f5803"
+        )
+        small = json.loads(small_out)
         assert huge["entries"] == small["entries"]
         assert huge["boundary"] == small["boundary"]
         assert huge["summary"]["comparisons"] == 871 * 10**9
         assert small["summary"] == {
             "comparisons": 6097, "discrepancies": 764, "boundary_cases": 233
         }
+
+    def test_theorem1_n8_report_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys, "audit", "--theorem", "1", "--n", "8", "--kmax", "7",
+            "--format", "json",
+        )
+        assert (code, err) == (3, "")
+        assert sha256(out) == (
+            "e1ea76bf7932badac0ad72be2bde6897036e67e4136c0857cc0f7d31948261ad"
+        )
+        assert json.loads(out)["summary"] == {
+            "comparisons": 21021, "discrepancies": 893
+        }
+
+    def test_theorem1_n9_report_is_pinned_and_quick(self, capsys):
+        # The walk stops at each sequence's first representative whose
+        # kappa-hat reaches min(k_max, least term); walking them all took
+        # 41-48 s on a 2-vCPU x86-64 host.
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "audit", "--theorem", "1", "--n", "9", "--kmax", "3",
+                "--oracle-limit", "9", "--format", "json",
+            )
+        assert (code, err) == (3, "")
+        assert sha256(out) == (
+            "eb9a94bd7bc2c0f6b4ce16b48ceb4bee4a96a906b1ec79f1ca1f7385a20505e0"
+        )
 
     def test_oversized_n_rejected(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "1", "--n", "11")

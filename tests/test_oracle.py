@@ -8,6 +8,7 @@ with the flow route from graph_core.
 
 import json
 import time
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -139,16 +140,41 @@ def labeled_profile(s, cap):
     return len(kappas), min(kappas), max(kappas)
 
 
+@lru_cache(maxsize=None)
+def labeled_kappas(terms):
+    """Removal-set kappa of every labeled realization of terms; capping
+    it at c gives _kappa_capped at cap c (TestKappaRoutesAgree)."""
+    from kconnseq.oracle import _kappa_capped
+
+    n = len(terms)
+    graphs = enumerate_realizations(normalize(terms))
+    return [_kappa_capped(g._adj, n, n) for g in graphs]
+
+
 class TestTwinOrbits:
     """The twin cut weighs representatives instead of listing every
     labeled graph; the labeled stream is the reference."""
 
     @pytest.mark.parametrize("n", range(2, 8))
+    def test_twin_weights_sum_to_labeled_count(self, n):
+        from kconnseq.oracle import _enumerate_masks
+
+        for s in all_degree_sequences(n):
+            weights = sum(w for _, w in _enumerate_masks(s.terms, twins=True))
+            assert weights == len(labeled_kappas(s.terms)), s
+
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_weighted_profile_matches_labeled_stream(self, n):
+        # Every cap, both sides: the walks stop early and cap at the least
+        # term, which must change no bound.
         from kconnseq.oracle import _profile_worker
 
         for s in all_degree_sequences(n):
-            assert _profile_worker((s.terms, n)) == labeled_profile(s, n), s
+            for cap in range(1, n + 1):
+                capped = [min(kappa, cap) for kappa in labeled_kappas(s.terms)]
+                lo, hi = (min(capped), max(capped)) if capped else (None, None)
+                assert _profile_worker((s.terms, cap, True)) == lo, (s, cap)
+                assert _profile_worker((s.terms, cap, False)) == hi, (s, cap)
 
     def test_twin_cut_prunes(self):
         from kconnseq.oracle import _enumerate_masks
